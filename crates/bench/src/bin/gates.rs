@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Runs every CI gate (or the `--only` subset, comma-separated) through
-//! the same library code path the individual `gate_*` binaries use, so
-//! `gates --only server` and `gate_server` are interchangeable. `--seed`
+//! the shared library runner. `--write-thresholds` regenerates the
+//! selected gates' committed files (for `perf`, its baseline); `--factor`
+//! sets the perf smoke's headroom. `--seed`
 //! selects a matrix slot for the gates that take one (golden, server) and
 //! is a usage error for the rest. `--thresholds` overrides the committed
 //! file and therefore requires exactly one selected gate. Exits 1 if any

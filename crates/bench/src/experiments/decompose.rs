@@ -1,48 +1,42 @@
-//! Decomposition-path comparison (`bench_decompose`).
+//! Decomposition-kernel timing (`bench_decompose`).
 //!
-//! Times the interned-id, DAG-evaluating [`EstimationEngine`] against the
-//! preserved byte-keyed recursive [`ReferenceEngine`] on the accuracy-gate
-//! workload (XMark, sizes 4–6), cold (fresh cache, first batch) and warm
-//! (repeat batch against a populated cache), verifies the two paths return
-//! bit-identical estimates before any timing, and records everything —
-//! including the interner occupancy and the DAG dedup ratio — in
-//! `BENCH_decompose.json` at the workspace root. The record uses the
-//! `tl-metrics/1` snapshot schema, so `treelattice metrics report
+//! Times the interned-id, DAG-evaluating [`EstimationEngine`] on the
+//! accuracy-gate workload (XMark, sizes 4–6), cold (fresh cache, first
+//! batch) and warm (repeat batch against a populated cache), after
+//! verifying that every estimate is bit-identical to the independent
+//! reference recursion in `tl-oracle` and to the engineless estimator. It
+//! records everything — including the interner occupancy and the DAG dedup
+//! ratio — in `BENCH_decompose.json` at the workspace root. The record uses
+//! the `tl-metrics/1` snapshot schema, so `treelattice metrics report
 //! BENCH_decompose.json` renders it like any other snapshot.
 
 use std::time::Instant;
 
 use tl_datagen::{Dataset, GenConfig};
+use tl_oracle::reference;
 use tl_twig::Twig;
 use tl_workload::positive_workload_with_index;
 use tl_xml::DocIndex;
 use treelattice::{
-    BuildConfig, EngineConfig, EstimateOptions, EstimationEngine, Estimator, ReferenceEngine,
-    TreeLattice,
+    BuildConfig, EngineConfig, EstimateOptions, EstimationEngine, Estimator, TreeLattice,
 };
 
 use crate::{ExpConfig, Table};
 
-/// One estimator's cold/warm comparison cell.
+/// One estimator's cold/warm timing cell.
 #[derive(Clone, Debug)]
 pub struct DecomposeRow {
     /// Estimator name (`recursive` / `voting`).
     pub estimator: &'static str,
     /// Queries in the batch.
     pub queries: usize,
-    /// Median wall time of the byte-keyed recursive path, cold cache, ms.
-    pub reference_cold_ms: f64,
-    /// Median wall time of the byte-keyed recursive path, warm cache, ms.
-    pub reference_warm_ms: f64,
-    /// Median wall time of the id-keyed DAG path, cold cache, ms.
+    /// Median wall time of one batch on a fresh cache, ms.
     pub engine_cold_ms: f64,
-    /// Median wall time of the id-keyed DAG path, warm cache, ms.
+    /// Median wall time of one batch on a warm cache, ms.
     pub engine_warm_ms: f64,
-    /// `reference_cold_ms / engine_cold_ms`.
-    pub cold_speedup: f64,
-    /// `reference_warm_ms / engine_warm_ms` — the headline number.
-    pub warm_speedup: f64,
-    /// Warm id-keyed path per query, nanoseconds.
+    /// Cold batch per query, nanoseconds.
+    pub cold_ns_per_query: f64,
+    /// Warm batch per query, nanoseconds.
     pub warm_ns_per_query: f64,
     /// DAG references / DAG nodes over the cold batch; > 1 whenever
     /// decomposition operands are shared.
@@ -55,7 +49,7 @@ pub struct DecomposeRow {
     pub dag_refs: u64,
 }
 
-/// The full comparison result.
+/// The full measurement.
 #[derive(Clone, Debug)]
 pub struct DecomposeBench {
     /// Configuration echo for the JSON record.
@@ -97,8 +91,8 @@ fn median_ms(repeats: usize, iters: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// One single-threaded engine: the reference is sequential, and a fair
-/// cold/warm comparison must not hand the DAG path extra cores.
+/// One single-threaded engine, so the timings measure the kernel rather
+/// than the host's core count.
 fn fresh_engine() -> EstimationEngine {
     EstimationEngine::new(EngineConfig {
         threads: 1,
@@ -106,7 +100,7 @@ fn fresh_engine() -> EstimationEngine {
     })
 }
 
-/// Runs the comparison without printing or writing.
+/// Runs the verification and timing without printing or writing.
 pub fn build(cfg: &ExpConfig) -> DecomposeBench {
     let doc = Dataset::Xmark.generate(GenConfig {
         seed: cfg.seed,
@@ -143,43 +137,35 @@ pub fn build(cfg: &ExpConfig) -> DecomposeBench {
         ("voting", Estimator::RecursiveVoting),
     ] {
         // Bit-identity before any timing: the id-keyed DAG engine, the
-        // byte-keyed reference, and the engineless estimator must agree on
-        // every query, bit for bit.
+        // independent reference recursion, and the engineless estimator
+        // must agree on every query, bit for bit.
         let engine = fresh_engine();
-        let reference = ReferenceEngine::new();
         let got = engine.estimate_batch(&lattice, &twigs, estimator, &opts);
-        let want = reference.estimate_batch(&lattice, &twigs, estimator, &opts);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        for (i, (g, twig)) in got.iter().zip(&twigs).enumerate() {
+            let want = reference::estimate(lattice.summary(), twig, estimator, &opts);
             assert_eq!(
                 g.to_bits(),
-                w.to_bits(),
+                want.to_bits(),
                 "{name}: engine diverged from reference on query {i}"
             );
-            let direct = lattice.estimate_with(&twigs[i], estimator, &opts);
+            let direct = lattice.estimate_with(twig, estimator, &opts);
             assert_eq!(
-                w.to_bits(),
+                g.to_bits(),
                 direct.to_bits(),
-                "{name}: reference diverged from estimator on query {i}"
+                "{name}: engine diverged from estimator on query {i}"
             );
         }
 
         // Cold: fresh cache, one batch. The fresh state is inside the
         // closure, so every sample pays first-sighting interning and the
-        // full DAG expansion (or, for the reference, the full recursion).
-        let reference_cold_ms = median_ms(5, 1, || {
-            let r = ReferenceEngine::new();
-            std::hint::black_box(r.estimate_batch(&lattice, &twigs, estimator, &opts));
-        });
+        // full DAG expansion.
         let engine_cold_ms = median_ms(5, 1, || {
             let e = fresh_engine();
             std::hint::black_box(e.estimate_batch(&lattice, &twigs, estimator, &opts));
         });
 
-        // Warm: repeat the batch against the populated caches from the
+        // Warm: repeat the batch against the cache populated by the
         // verification run above.
-        let reference_warm_ms = median_ms(7, 20, || {
-            std::hint::black_box(reference.estimate_batch(&lattice, &twigs, estimator, &opts));
-        });
         let engine_warm_ms = median_ms(7, 20, || {
             std::hint::black_box(engine.estimate_batch(&lattice, &twigs, estimator, &opts));
         });
@@ -191,16 +177,14 @@ pub fn build(cfg: &ExpConfig) -> DecomposeBench {
         let _ = cold_engine.estimate_batch(&lattice, &twigs, estimator, &opts);
         let stats = cold_engine.stats();
 
+        let per_query = 1e6 / twigs.len().max(1) as f64;
         rows.push(DecomposeRow {
             estimator: name,
             queries: twigs.len(),
-            reference_cold_ms,
-            reference_warm_ms,
             engine_cold_ms,
             engine_warm_ms,
-            cold_speedup: reference_cold_ms / engine_cold_ms.max(1e-9),
-            warm_speedup: reference_warm_ms / engine_warm_ms.max(1e-9),
-            warm_ns_per_query: engine_warm_ms * 1e6 / twigs.len().max(1) as f64,
+            cold_ns_per_query: engine_cold_ms * per_query,
+            warm_ns_per_query: engine_warm_ms * per_query,
             dedup_ratio: stats.dedup_ratio(),
             interner_keys: stats.interner_keys,
             dag_nodes: stats.dag_nodes,
@@ -230,17 +214,11 @@ pub fn to_snapshot(b: &DecomposeBench) -> tl_obs::Snapshot {
         snap.counters.insert(format!("{p}.dag_nodes"), r.dag_nodes);
         snap.counters.insert(format!("{p}.dag_refs"), r.dag_refs);
         snap.gauges
-            .insert(format!("{p}.reference_cold_ms"), r.reference_cold_ms);
-        snap.gauges
-            .insert(format!("{p}.reference_warm_ms"), r.reference_warm_ms);
-        snap.gauges
             .insert(format!("{p}.engine_cold_ms"), r.engine_cold_ms);
         snap.gauges
             .insert(format!("{p}.engine_warm_ms"), r.engine_warm_ms);
         snap.gauges
-            .insert(format!("{p}.cold_speedup"), r.cold_speedup);
-        snap.gauges
-            .insert(format!("{p}.warm_speedup"), r.warm_speedup);
+            .insert(format!("{p}.cold_ns_per_query"), r.cold_ns_per_query);
         snap.gauges
             .insert(format!("{p}.warm_ns_per_query"), r.warm_ns_per_query);
         snap.gauges
@@ -258,16 +236,14 @@ pub fn to_json(b: &DecomposeBench) -> String {
 pub fn run(cfg: &ExpConfig) -> DecomposeBench {
     let b = build(cfg);
     let mut t = Table::new(
-        "Decomposition path: reference (byte-keyed recursion) vs engine (id-keyed DAG)",
+        "Decomposition kernel: id-keyed DAG engine, cold and warm",
         &[
             "Estimator",
             "Queries",
-            "Ref cold",
-            "Engine cold",
-            "Ref warm",
-            "Engine warm",
-            "Warm speedup",
-            "ns/query",
+            "Cold",
+            "Warm",
+            "Cold ns/query",
+            "Warm ns/query",
             "Dedup",
         ],
     );
@@ -275,11 +251,9 @@ pub fn run(cfg: &ExpConfig) -> DecomposeBench {
         t.row(vec![
             r.estimator.to_owned(),
             r.queries.to_string(),
-            format!("{:.2}ms", r.reference_cold_ms),
             format!("{:.2}ms", r.engine_cold_ms),
-            format!("{:.3}ms", r.reference_warm_ms),
             format!("{:.3}ms", r.engine_warm_ms),
-            format!("{:.2}x", r.warm_speedup),
+            format!("{:.0}", r.cold_ns_per_query),
             format!("{:.0}", r.warm_ns_per_query),
             format!("{:.2}x", r.dedup_ratio),
         ]);
@@ -307,8 +281,8 @@ mod tests {
         let b = build(&cfg);
         assert_eq!(b.rows.len(), 2, "recursive + voting");
         for r in &b.rows {
-            assert!(r.engine_cold_ms >= 0.0 && r.reference_cold_ms >= 0.0);
-            assert!(r.warm_speedup.is_finite() && r.cold_speedup.is_finite());
+            assert!(r.engine_cold_ms >= 0.0 && r.engine_warm_ms >= 0.0);
+            assert!(r.warm_ns_per_query.is_finite() && r.cold_ns_per_query.is_finite());
             assert!(
                 r.dedup_ratio > 1.0,
                 "{}: dedup ratio {} not > 1",
@@ -328,7 +302,7 @@ mod tests {
         );
         assert!(snap
             .gauges
-            .contains_key("bench.decompose.recursive.warm_speedup"));
+            .contains_key("bench.decompose.recursive.warm_ns_per_query"));
         assert!(snap
             .counters
             .contains_key("bench.decompose.voting.dag_nodes"));

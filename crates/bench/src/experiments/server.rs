@@ -52,7 +52,7 @@ pub struct ServerBenchConfig {
 /// The fixed full-scale configuration `bench_server` and the server gate
 /// run with: a one-million-request soak across four tenants. Changing it
 /// invalidates `tests/gates/server.json`; regenerate with
-/// `gate_server --write-thresholds`.
+/// `gates --only server --write-thresholds`.
 pub fn bench_config() -> ServerBenchConfig {
     ServerBenchConfig {
         scale: 6_000,

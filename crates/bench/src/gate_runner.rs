@@ -1,13 +1,10 @@
 //! One entry point for every CI gate.
 //!
-//! Each gate used to carry its own ~80-line binary duplicating the same
-//! flag parsing, threshold loading, and report printing. This module owns
-//! that skeleton once: [`run_gate`] measures, writes-or-checks, prints,
-//! and returns the process exit code, and every `gate_*` binary — plus
-//! the umbrella `gates` binary with its `--only` filter — is a thin
-//! wrapper around it. CI and local runs therefore invoke gates through
-//! the identical code path; a gate cannot behave differently under `gates
-//! --only server` than under `gate_server`.
+//! This module owns the skeleton every gate shares: [`run_gate`]
+//! measures, writes-or-checks, prints, and returns the process exit code,
+//! and the `gates` binary with its `--only` filter is the one front end.
+//! CI and local runs therefore invoke gates through the identical code
+//! path.
 
 use std::path::PathBuf;
 
@@ -385,7 +382,7 @@ mod tests {
             .expect("committed recovery thresholds load");
         assert_eq!(
             committed, snap,
-            "tests/gates/recovery.json is stale; regenerate with gate_recovery --write-thresholds"
+            "tests/gates/recovery.json is stale; regenerate with gates --only recovery --write-thresholds"
         );
     }
 
@@ -397,7 +394,7 @@ mod tests {
             .expect("committed server thresholds load");
         assert_eq!(
             committed, snap,
-            "tests/gates/server.json is stale; regenerate with gate_server --write-thresholds"
+            "tests/gates/server.json is stale; regenerate with gates --only server --write-thresholds"
         );
     }
 }

@@ -14,12 +14,12 @@
 //!   `bench matcher` comparison on a tiny fixture and fails when it runs
 //!   more than `factor`× slower than `gate.perf.matcher_build_ms`.
 //! * **Decompose** ([`check_decompose`]): runs the `bench_decompose`
-//!   comparison on a reduced fixture and fails when the id-keyed DAG
-//!   engine's warm-batch speedup over the byte-keyed recursive reference
-//!   falls below `gate.decompose.min_warm_speedup`, its cold-batch
-//!   speedup below `gate.decompose.min_cold_speedup`, or the DAG dedup
-//!   ratio below `gate.decompose.min_dedup_ratio`. Fail-closed: a
-//!   missing threshold gauge is itself a failure.
+//!   measurement on a reduced fixture (which re-asserts bit-identity with
+//!   the reference recursion) and fails when an estimator's warm or cold
+//!   per-query time exceeds
+//!   `gate.decompose.max_{warm,cold}_ns_per_query.<estimator>` or the DAG
+//!   dedup ratio falls below `gate.decompose.min_dedup_ratio`.
+//!   Fail-closed: a missing threshold gauge is itself a failure.
 //! * **Corpus** ([`check_corpus`]): mines the reduced corpus fixture
 //!   sequentially and sharded, and fails unless every sharded build is
 //!   bit-identical to the sequential one and (on multi-core hosts) the
@@ -37,9 +37,8 @@
 //!   corruption surfaces as a typed fault, a torn tail seals cleanly, and
 //!   a drain round-trips the state byte-for-byte.
 //!
-//! Every gate runs through the one shared runner in [`crate::gate_runner`]
-//! — the `gates` umbrella binary and the per-gate `gate_*` wrappers are
-//! the same code path.
+//! Every gate runs through the one shared runner in [`crate::gate_runner`],
+//! driven by the `gates` binary.
 //!
 //! Every quantity the gates measure is seeded and single-threaded, so the
 //! committed thresholds can be tight: reruns of the same build produce the
@@ -68,12 +67,22 @@ pub const MAX_MEAN_ERROR_PCT: &str = "gate.accuracy.max_mean_error_pct";
 pub const MIN_HIT_RATE: &str = "gate.engine.min_hit_rate";
 /// Baseline gauge name for the perf smoke wall-clock.
 pub const MATCHER_BUILD_MS: &str = "gate.perf.matcher_build_ms";
-/// Threshold gauge name for the decompose warm-batch speedup floor.
-pub const MIN_WARM_SPEEDUP: &str = "gate.decompose.min_warm_speedup";
+/// Threshold gauge name prefix for the per-estimator warm-batch
+/// per-query ceilings of the decompose gate.
+pub const MAX_WARM_NS_PER_QUERY: &str = "gate.decompose.max_warm_ns_per_query";
+/// Threshold gauge name prefix for the per-estimator cold-batch
+/// per-query ceilings of the decompose gate.
+pub const MAX_COLD_NS_PER_QUERY: &str = "gate.decompose.max_cold_ns_per_query";
 /// Threshold gauge name for the decompose DAG dedup-ratio floor.
 pub const MIN_DEDUP_RATIO: &str = "gate.decompose.min_dedup_ratio";
-/// Threshold gauge name for the decompose cold-batch speedup floor.
-pub const MIN_COLD_SPEEDUP: &str = "gate.decompose.min_cold_speedup";
+
+/// Per-query `(warm, cold)` nanoseconds of the byte-keyed recursive engine
+/// the DAG kernel replaced, per estimator, on [`decompose_config`]: the
+/// median of 41 runs on a 2-vCPU x86-64 host, measured just before that
+/// engine was deleted. They are the decompose gate's ceilings — the DAG
+/// kernel may never be slower than the recursion it replaced.
+pub const RECURSION_NS_PER_QUERY: [(&str, f64, f64); 2] =
+    [("recursive", 429.0, 6258.0), ("voting", 428.0, 18518.0)];
 /// Threshold gauge name for the corpus parallel-construction speedup floor.
 pub const MIN_PARALLEL_SPEEDUP: &str = "gate.corpus.min_parallel_speedup";
 /// Threshold gauge marking the shard-merge bit-identity check as required
@@ -111,7 +120,7 @@ pub const REQUIRE_DRAIN_ROUND_TRIP: &str = "gate.recovery.require_drain_round_tr
 
 /// The fixed configuration the accuracy gate runs with. Changing it
 /// invalidates `tests/gates/accuracy.json`; regenerate with
-/// `gate_accuracy --write-thresholds`.
+/// `gates --only accuracy --write-thresholds`.
 pub fn accuracy_config() -> ExpConfig {
     ExpConfig {
         scale: 8_000,
@@ -332,7 +341,7 @@ pub fn check_perf(measured_ms: f64, baseline: &Snapshot, factor: f64) -> GateRep
 /// The reduced configuration the decompose gate runs with: small enough
 /// for CI, large enough that the workloads exercise multi-level
 /// decomposition. Changing it invalidates `tests/gates/decompose.json`;
-/// regenerate with `gate_decompose --write-thresholds`.
+/// regenerate with `gates --only decompose --write-thresholds`.
 pub fn decompose_config() -> ExpConfig {
     ExpConfig {
         scale: 2_000,
@@ -343,24 +352,13 @@ pub fn decompose_config() -> ExpConfig {
     }
 }
 
-/// Renders a measured decompose run as a thresholds snapshot with
-/// headroom: the warm and cold speedup floors at half the worst measured
-/// row (timing ratios are same-machine and noise-robust, but CI runners
-/// throttle), the dedup floor at `0.9×` the worst measured row. All
-/// floors are clamped to at least 1: the gate's contract is that the DAG
-/// path is never slower than the recursion it replaced — cold or warm —
-/// and always shares at least some operands.
+/// Renders a measured decompose run as a thresholds snapshot: the
+/// per-estimator warm and cold ceilings at [`RECURSION_NS_PER_QUERY`] (the
+/// gate's contract is that the DAG kernel is never slower than the
+/// recursion it replaced, cold or warm), and the dedup floor at `0.9×` the
+/// worst measured row, clamped to at least 1 (the DAG always shares at
+/// least some operands).
 pub fn decompose_thresholds(b: &decompose::DecomposeBench, cfg: &ExpConfig) -> Snapshot {
-    let worst_speedup = b
-        .rows
-        .iter()
-        .map(|r| r.warm_speedup)
-        .fold(f64::INFINITY, f64::min);
-    let worst_cold = b
-        .rows
-        .iter()
-        .map(|r| r.cold_speedup)
-        .fold(f64::INFINITY, f64::min);
     let worst_dedup = b
         .rows
         .iter()
@@ -374,52 +372,39 @@ pub fn decompose_thresholds(b: &decompose::DecomposeBench, cfg: &ExpConfig) -> S
     snap.meta.insert("k".into(), cfg.k.to_string());
     snap.meta
         .insert("queries_per_size".into(), cfg.queries.to_string());
-    snap.gauges
-        .insert(MIN_WARM_SPEEDUP.into(), (worst_speedup * 0.5).max(1.0));
-    snap.gauges
-        .insert(MIN_COLD_SPEEDUP.into(), (worst_cold * 0.5).max(1.0));
+    for (estimator, warm, cold) in RECURSION_NS_PER_QUERY {
+        snap.gauges
+            .insert(format!("{MAX_WARM_NS_PER_QUERY}.{estimator}"), warm);
+        snap.gauges
+            .insert(format!("{MAX_COLD_NS_PER_QUERY}.{estimator}"), cold);
+    }
     snap.gauges
         .insert(MIN_DEDUP_RATIO.into(), (worst_dedup * 0.9).max(1.0));
     snap
 }
 
 /// Compares a decompose measurement against a thresholds snapshot. Every
-/// estimator row must clear both floors; a missing gauge is a failure.
+/// estimator row must stay under both of its ceilings and clear the dedup
+/// floor; a missing gauge is a failure.
 pub fn check_decompose(b: &decompose::DecomposeBench, thresholds: &Snapshot) -> GateReport {
     let mut report = GateReport::default();
-    match thresholds.gauges.get(MIN_WARM_SPEEDUP) {
-        Some(&min) => {
-            for r in &b.rows {
-                report.check(
-                    r.warm_speedup >= min,
+    for r in &b.rows {
+        for (prefix, phase, measured) in [
+            (MAX_WARM_NS_PER_QUERY, "warm", r.warm_ns_per_query),
+            (MAX_COLD_NS_PER_QUERY, "cold", r.cold_ns_per_query),
+        ] {
+            let name = format!("{prefix}.{}", r.estimator);
+            match thresholds.gauges.get(&name) {
+                Some(&max) => report.check(
+                    measured <= max,
                     format!(
-                        "{}: warm speedup {:.2}x over byte-keyed recursion (min {min:.2}x)",
-                        r.estimator, r.warm_speedup
+                        "{}: {phase} {measured:.0} ns/query (max {max:.0})",
+                        r.estimator
                     ),
-                );
+                ),
+                None => report.check(false, format!("thresholds missing gauge `{name}`")),
             }
         }
-        None => report.check(
-            false,
-            format!("thresholds missing gauge `{MIN_WARM_SPEEDUP}`"),
-        ),
-    }
-    match thresholds.gauges.get(MIN_COLD_SPEEDUP) {
-        Some(&min) => {
-            for r in &b.rows {
-                report.check(
-                    r.cold_speedup >= min,
-                    format!(
-                        "{}: cold speedup {:.2}x over byte-keyed recursion (min {min:.2}x)",
-                        r.estimator, r.cold_speedup
-                    ),
-                );
-            }
-        }
-        None => report.check(
-            false,
-            format!("thresholds missing gauge `{MIN_COLD_SPEEDUP}`"),
-        ),
     }
     match thresholds.gauges.get(MIN_DEDUP_RATIO) {
         Some(&min) => {
@@ -444,7 +429,7 @@ pub fn check_decompose(b: &decompose::DecomposeBench, thresholds: &Snapshot) -> 
 /// The reduced corpus the corpus gate mines: small enough for CI seconds,
 /// sharded enough to exercise the tree-reduction merge. Changing it
 /// invalidates `tests/gates/corpus.json`; regenerate with
-/// `gate_corpus --write-thresholds`.
+/// `gates --only corpus --write-thresholds`.
 pub fn corpus_gate_config() -> corpus::CorpusBenchConfig {
     corpus::CorpusBenchConfig {
         docs: 8,
@@ -541,7 +526,7 @@ pub fn check_corpus(b: &corpus::CorpusBench, thresholds: &Snapshot) -> GateRepor
 /// The configuration the server gate soaks with: the full one-million
 /// request mixed-tenant load at a CI-matrix seed. Changing anything but
 /// the seed invalidates `tests/gates/server.json`; regenerate with
-/// `gate_server --write-thresholds`.
+/// `gates --only server --write-thresholds`.
 pub fn server_gate_config(seed: u64) -> server::ServerBenchConfig {
     server::ServerBenchConfig {
         seed,
@@ -654,7 +639,7 @@ pub fn check_server(b: &server::ServerBench, thresholds: &Snapshot) -> GateRepor
 /// matrix at a CI-matrix seed (the seed varies the workload, the
 /// fail-point coin, and the crash timing — the contract does not).
 /// Changing anything but the seed invalidates `tests/gates/recovery.json`;
-/// regenerate with `gate_recovery --write-thresholds`.
+/// regenerate with `gates --only recovery --write-thresholds`.
 pub fn recovery_gate_config(seed: u64) -> recovery::RecoveryBenchConfig {
     recovery::RecoveryBenchConfig {
         seed,
@@ -852,81 +837,87 @@ mod tests {
         assert!(!check_perf(100.0, &Snapshot::default(), 3.0).passed());
     }
 
-    #[test]
-    fn decompose_gate_checks_synthetic_rows() {
-        let row = |speedup: f64, dedup: f64| decompose::DecomposeRow {
-            estimator: "recursive",
+    fn decompose_row(
+        estimator: &'static str,
+        warm_ns: f64,
+        cold_ns: f64,
+        dedup: f64,
+    ) -> decompose::DecomposeRow {
+        decompose::DecomposeRow {
+            estimator,
             queries: 10,
-            reference_cold_ms: 2.0,
-            reference_warm_ms: 1.0,
-            engine_cold_ms: 1.0,
-            engine_warm_ms: 1.0 / speedup,
-            cold_speedup: 2.0,
-            warm_speedup: speedup,
-            warm_ns_per_query: 100.0,
+            engine_cold_ms: cold_ns * 1e-5,
+            engine_warm_ms: warm_ns * 1e-5,
+            cold_ns_per_query: cold_ns,
+            warm_ns_per_query: warm_ns,
             dedup_ratio: dedup,
             interner_keys: 10,
             dag_nodes: 10,
             dag_refs: (10.0 * dedup) as u64,
-        };
-        let bench = |speedup: f64, dedup: f64| decompose::DecomposeBench {
+        }
+    }
+
+    fn decompose_bench(rows: Vec<decompose::DecomposeRow>) -> decompose::DecomposeBench {
+        decompose::DecomposeBench {
             scale: 2_000,
             seed: 42,
-            rows: vec![row(speedup, dedup)],
+            rows,
+        }
+    }
+
+    #[test]
+    fn decompose_gate_checks_synthetic_rows() {
+        let bench = |warm: f64, dedup: f64| {
+            decompose_bench(vec![
+                decompose_row("recursive", warm, 3_000.0, dedup),
+                decompose_row("voting", warm, 6_000.0, dedup),
+            ])
         };
         let cfg = decompose_config();
-        let good = bench(4.0, 2.0);
+        let good = bench(200.0, 2.0);
         let thresholds = decompose_thresholds(&good, &cfg);
-        // Floors: half the measured speedups, 0.9x the measured dedup.
-        assert_eq!(thresholds.gauges[MIN_WARM_SPEEDUP], 2.0);
-        assert_eq!(thresholds.gauges[MIN_COLD_SPEEDUP], 1.0);
+        // Ceilings: the replaced recursion's per-query times, whatever
+        // was measured; the dedup floor at 0.9x the measured dedup.
+        for (estimator, warm, cold) in RECURSION_NS_PER_QUERY {
+            assert_eq!(
+                thresholds.gauges[&format!("{MAX_WARM_NS_PER_QUERY}.{estimator}")],
+                warm
+            );
+            assert_eq!(
+                thresholds.gauges[&format!("{MAX_COLD_NS_PER_QUERY}.{estimator}")],
+                cold
+            );
+        }
         assert_eq!(thresholds.gauges[MIN_DEDUP_RATIO], 1.8);
         assert!(check_decompose(&good, &thresholds).passed());
-        // A slower or less-shared build fails...
-        assert!(!check_decompose(&bench(1.5, 2.0), &thresholds).passed());
-        assert!(!check_decompose(&bench(4.0, 1.2), &thresholds).passed());
+        // A slower-than-the-recursion or less-shared build fails...
+        assert!(!check_decompose(&bench(500.0, 2.0), &thresholds).passed());
+        assert!(!check_decompose(&bench(200.0, 1.2), &thresholds).passed());
         // ...and so does an empty thresholds file (fail-closed).
         let report = check_decompose(&good, &Snapshot::default());
         assert!(!report.passed());
         assert!(report.failures.iter().all(|f| f.contains("missing gauge")));
-        // Floors never drop below 1 even for a barely-faster measurement.
-        let weak = decompose_thresholds(&bench(1.1, 1.05), &cfg);
-        assert_eq!(weak.gauges[MIN_WARM_SPEEDUP], 1.0);
-        assert_eq!(weak.gauges[MIN_COLD_SPEEDUP], 1.0);
+        // The dedup floor never drops below 1.
+        let weak = decompose_thresholds(&bench(200.0, 1.05), &cfg);
         assert_eq!(weak.gauges[MIN_DEDUP_RATIO], 1.0);
     }
 
     #[test]
     fn decompose_gate_fails_a_cold_regression() {
-        // A row that is fast warm but *slower than the reference cold* —
-        // the regression this floor exists to catch — must fail against
-        // thresholds demanding cold parity.
-        let slow_cold = decompose::DecomposeBench {
-            scale: 2_000,
-            seed: 42,
-            rows: vec![decompose::DecomposeRow {
-                estimator: "recursive",
-                queries: 10,
-                reference_cold_ms: 1.0,
-                reference_warm_ms: 1.0,
-                engine_cold_ms: 1.3,
-                engine_warm_ms: 0.2,
-                cold_speedup: 0.79,
-                warm_speedup: 5.0,
-                warm_ns_per_query: 100.0,
-                dedup_ratio: 2.0,
-                interner_keys: 10,
-                dag_nodes: 10,
-                dag_refs: 20,
-            }],
-        };
-        let mut thresholds = Snapshot::default();
-        thresholds.gauges.insert(MIN_WARM_SPEEDUP.into(), 1.0);
-        thresholds.gauges.insert(MIN_COLD_SPEEDUP.into(), 1.0);
-        thresholds.gauges.insert(MIN_DEDUP_RATIO.into(), 1.0);
+        // A row that is fast warm but slower than the replaced recursion
+        // cold — the regression the cold ceiling exists to catch — fails.
+        let (_, warm, cold) = RECURSION_NS_PER_QUERY[0];
+        let slow_cold = decompose_bench(vec![decompose_row(
+            "recursive",
+            warm / 2.0,
+            cold * 1.05,
+            2.0,
+        )]);
+        let thresholds = decompose_thresholds(&slow_cold, &decompose_config());
         let report = check_decompose(&slow_cold, &thresholds);
         assert!(!report.passed());
-        assert!(report.failures.iter().any(|f| f.contains("cold speedup")));
+        assert_eq!(report.failures.len(), 1);
+        assert!(report.failures[0].contains("recursive: cold"));
     }
 
     #[test]

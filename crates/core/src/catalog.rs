@@ -601,7 +601,9 @@ pub fn estimate_catalog<C: Catalog + ?Sized>(
         return 0.0;
     }
     let mut cache = dag::LocalIdCache::default();
-    dag::estimate_dag(catalog, twig, estimator, opts, &mut cache).0
+    dag::estimate_dag(catalog, twig, estimator, opts, &mut cache, None)
+        .expect(dag::UNBUDGETED)
+        .0
 }
 
 /// Parses a query against a catalog's label table and estimates it (new

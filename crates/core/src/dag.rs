@@ -1,12 +1,11 @@
-//! The iterative decomposition-DAG evaluator — the allocation-free,
-//! id-addressed replacement for the recursive estimator's hot path.
+//! The iterative decomposition-DAG evaluator — the one kernel behind every
+//! estimate: plain, batched, resilient, and fix-sized at an explicit `k`.
 //!
 //! The recursive scheme (Figure 4) re-derives the same sub-twigs constantly:
 //! the three operands of neighboring removable pairs overlap in all but one
 //! or two nodes, so one voting step over `p` pairs references `3p` operands
-//! of which typically far fewer are distinct. The recursive implementation
-//! hides that sharing inside a byte-keyed memo probed with freshly encoded,
-//! freshly boxed keys. This module makes the sharing explicit:
+//! of which typically far fewer are distinct. This module makes the sharing
+//! explicit:
 //!
 //! 1. every sub-twig is interned to a dense [`TwigId`] once (the
 //!    [`IdCache`]'s interner), after which all bookkeeping is `u32`s;
@@ -20,26 +19,37 @@
 //!    unique node is evaluated exactly once, its value stored back to the
 //!    shared cache so later queries in the batch resolve it on sight.
 //!
-//! The arithmetic per node replicates the recursive `decompose` loop
-//! verbatim (same pair enumeration order, same `<= 0` short-circuit
-//! structure, same summation order), so results are bit-identical to the
-//! recursive path; the only observable difference is *eagerness* — operands
-//! the recursion skipped past a zero factor still get evaluated and cached,
-//! which can only add cache entries, never change a value (every sub-twig's
-//! estimate is a pure function of the summary and the voting class).
+//! The arithmetic per node is Figure 4's pair average (pair enumeration
+//! order, `<= 0` short-circuits and summation order as written in the
+//! paper), so results are bit-identical to the plain recursion — the
+//! independent reference in `tl-oracle` checks exactly that. The only
+//! difference from a recursion is *eagerness*: operands a recursion would
+//! skip past a zero factor still get evaluated and cached, which can only
+//! add cache entries, never change a value (every sub-twig's estimate is a
+//! pure function of the summary and the voting class).
 //!
-//! Two cold-path economies keep single-query latency below the reference
-//! engine's (the `gate.decompose.min_cold_speedup` floor): the arena
-//! buffers live in a thread-local [`DagScratch`] pool, so a cold query
-//! reuses the previous query's capacity instead of growing fresh vectors;
-//! and roots the pattern store can answer directly (within-`k` patterns —
-//! exact counts or trivially-zero levels) return after one store probe
-//! without touching the arenas at all.
+//! An evaluator built with a [`Budget`] enforces it for the degradation
+//! ladder ([`crate::resilient`]): the deadline (and the `budget.deadline`
+//! fail-point) is checked before the root probe and on every sub-twig
+//! reference, and every cache store charges its key bytes plus 32 bytes of
+//! entry overhead against the memory cap (and the `budget.mem`
+//! fail-point). Built without one, no check runs and evaluation cannot
+//! fail.
+//!
+//! Two cold-path economies keep single-query latency low (the decompose
+//! gate's cold ceiling): the arena buffers live in a thread-local
+//! [`DagScratch`] pool, so a cold query reuses the previous query's
+//! capacity instead of growing fresh vectors — a budget trip mid-build
+//! returns every pooled buffer, and the next evaluation's reset clears the
+//! rest; and roots the pattern store can answer directly (within-`k`
+//! patterns — exact counts or trivially-zero levels) return after one
+//! store probe without touching the arenas at all.
 //!
 //! The evaluator is generic over [`PatternStore`], so the same DAG runs
 //! against the in-memory summary, the eager file catalog, or the zero-copy
 //! mmap catalog (see [`crate::catalog`]).
 
+use tl_fault::{Budget, Fault};
 use tl_twig::canonical::{decode_bytes_into, key_of, KeyEncoder};
 use tl_twig::ops::{decompose_pair_into, fixed_cover_with, removable_pairs_into, CoverStrategy};
 use tl_twig::{Twig, TwigId, TwigInterner, TwigNodeId};
@@ -50,9 +60,8 @@ use crate::estimator::{EstimateOptions, Estimator};
 use crate::summary::Lookup;
 
 /// Where interned ids and resolved sub-twig estimates live during DAG
-/// evaluation. The id-keyed sibling of the byte-keyed `SubtwigCache`: the
-/// per-query implementation is [`LocalIdCache`]; the engine substitutes its
-/// sharded cross-query cache.
+/// evaluation: the per-query implementation is [`LocalIdCache`]; the engine
+/// substitutes its sharded cross-query cache.
 pub(crate) trait IdCache {
     /// Interns a canonical encoding, returning its dense id.
     fn intern(&mut self, bytes: &[u8]) -> TwigId;
@@ -101,6 +110,18 @@ pub(crate) struct DagStats {
     pub refs: u64,
 }
 
+/// What [`estimate_dag`] returns: the estimate, the deepest expansion the
+/// query forced (0 when the root resolved without decomposing), and the
+/// DAG's size.
+pub(crate) type DagEstimate = (f64, usize, DagStats);
+
+/// Why an unbudgeted evaluation's `Result` is always `Ok`.
+pub(crate) const UNBUDGETED: &str = "unbudgeted estimation cannot fault";
+
+/// Bytes charged against [`Budget::max_mem_bytes`] per cache entry on top
+/// of its key bytes.
+const ENTRY_OVERHEAD: u64 = 32;
+
 enum State {
     Resolved(f64),
     /// Awaiting bottom-up evaluation; the fields slice this node's operand
@@ -148,9 +169,8 @@ pub(crate) struct DagScratch {
 impl DagScratch {
     /// Clears per-evaluation state; pools and capacities survive.
     fn reset(&mut self) {
-        // Pending build twigs would leak out of the pool otherwise (a
-        // previous evaluation can only leave these empty, but reset must
-        // hold unconditionally).
+        // Twigs still queued for expansion — left behind by a budget trip
+        // mid-build — go back to the pool.
         for (_, _, twig) in self.build_stack.drain(..) {
             self.twig_pool.push(twig);
         }
@@ -182,9 +202,14 @@ pub(crate) struct DagEvaluator<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized>
     cache: &'c mut C,
     voting: bool,
     cap: usize,
+    /// Limits enforced on every reference and store; `None` evaluates
+    /// unchecked and cannot fail.
+    budget: Option<Budget>,
+    /// Cache-entry bytes charged against `budget` so far.
+    charged: u64,
     scratch: &'a mut DagScratch,
-    /// Deepest expansion reached — mirrors the recursion's depth counter:
-    /// the root of each `eval_twig` expands at depth 1, its operands at 2, …
+    /// Deepest expansion reached: the root of each `eval_twig` expands at
+    /// depth 1, its operands at 2, …
     max_depth: usize,
     refs: u64,
 }
@@ -195,6 +220,7 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
         cache: &'c mut C,
         voting: bool,
         cap: usize,
+        budget: Option<Budget>,
         scratch: &'a mut DagScratch,
     ) -> Self {
         scratch.reset();
@@ -203,6 +229,8 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
             cache,
             voting,
             cap,
+            budget,
+            charged: 0,
             scratch,
             max_depth: 0,
             refs: 0,
@@ -223,37 +251,53 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
     /// Evaluates one twig: interns it, expands everything reachable, runs
     /// one bottom-up pass, returns the root's estimate. Callable repeatedly
     /// on the same evaluator — fix-sized windows share the node table.
-    pub(crate) fn eval_twig(&mut self, twig: &Twig) -> f64 {
+    pub(crate) fn eval_twig(&mut self, twig: &Twig) -> Result<f64, Fault> {
         let mut buf = self.scratch.byte_pool.pop().unwrap_or_default();
         self.scratch.encoder.encode_into(twig, &mut buf);
         let root = self.ensure(&buf, 1);
         self.scratch.byte_pool.push(buf);
-        self.build();
-        self.evaluate();
-        self.resolved(root)
+        let root = root?;
+        self.build()?;
+        self.evaluate()?;
+        Ok(self.resolved(root))
     }
 
     /// [`eval_twig`](Self::eval_twig) for a root whose canonical `bytes`
-    /// were already encoded, interned to `id`, and looked up (missing) by
-    /// the caller's fast-path probe — the cache must see exactly one probe
-    /// per root either way.
-    fn eval_probed_root(&mut self, bytes: &[u8], id: TwigId) -> f64 {
+    /// were already encoded, deadline-checked, interned to `id`, and looked
+    /// up (missing) by the caller's fast-path probe — the cache must see
+    /// exactly one probe per root either way.
+    fn eval_probed_root(&mut self, bytes: &[u8], id: TwigId) -> Result<f64, Fault> {
         self.refs += 1;
-        let root = self.admit(bytes, 1, id, None);
-        self.build();
-        self.evaluate();
-        self.resolved(root)
+        let root = self.admit(bytes, 1, id, None)?;
+        self.build()?;
+        self.evaluate()?;
+        Ok(self.resolved(root))
+    }
+
+    /// Stores a resolved value, first charging the entry against the
+    /// budget's memory cap when one is enforced.
+    fn cache_store(&mut self, id: TwigId, key_bytes: usize, value: f64) -> Result<(), Fault> {
+        if let Some(budget) = &self.budget {
+            self.charged += key_bytes as u64 + ENTRY_OVERHEAD;
+            budget.check_mem(self.charged)?;
+        }
+        self.cache.store(id, value);
+        Ok(())
     }
 
     /// Interns `bytes` and returns its node index, creating the node if this
     /// is its first reference: resolved straight from the cache or store
     /// where possible, queued for expansion otherwise. `depth` is the
-    /// expansion depth the node gets *if* it needs decomposing.
-    fn ensure(&mut self, bytes: &[u8], depth: usize) -> u32 {
+    /// expansion depth the node gets *if* it needs decomposing. Every call
+    /// is one sub-twig reference, so it checks an enforced deadline.
+    fn ensure(&mut self, bytes: &[u8], depth: usize) -> Result<u32, Fault> {
+        if let Some(budget) = &self.budget {
+            budget.check_deadline()?;
+        }
         self.refs += 1;
         let id = self.cache.intern(bytes);
         if let Some(&ix) = self.scratch.index.get(&id) {
-            return ix;
+            return Ok(ix);
         }
         let cached = self.cache.lookup(id);
         self.admit(bytes, depth, id, cached)
@@ -261,7 +305,13 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
 
     /// Materializes the node for a first-referenced id, given the result of
     /// its (already counted) cache lookup.
-    fn admit(&mut self, bytes: &[u8], depth: usize, id: TwigId, cached: Option<f64>) -> u32 {
+    fn admit(
+        &mut self,
+        bytes: &[u8],
+        depth: usize,
+        id: TwigId,
+        cached: Option<f64>,
+    ) -> Result<u32, Fault> {
         let ix = u32::try_from(self.scratch.nodes.len()).expect("DAG node arena overflow");
         let size = (bytes.len() / 6) as u32;
         let state = if let Some(v) = cached {
@@ -270,21 +320,17 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
             match self.store.lookup_bytes(bytes) {
                 Lookup::Exact(c) => {
                     let v = c as f64;
-                    self.cache.store(id, v);
+                    self.cache_store(id, bytes.len(), v)?;
                     State::Resolved(v)
                 }
                 Lookup::Derivable | Lookup::TooLarge => {
                     if size <= 2 {
                         // Levels 1–2 are never pruned; reaching here means
                         // the store genuinely lacks the pattern.
-                        self.cache.store(id, 0.0);
+                        self.cache_store(id, bytes.len(), 0.0)?;
                         State::Resolved(0.0)
                     } else {
-                        let mut twig = self
-                            .scratch
-                            .twig_pool
-                            .pop()
-                            .unwrap_or_else(|| Twig::single(LabelId(0)));
+                        let mut twig = self.pooled_twig();
                         decode_bytes_into(bytes, &mut twig);
                         self.scratch.build_stack.push((ix, depth, twig));
                         self.scratch.pending.push(ix);
@@ -299,20 +345,22 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
         };
         self.scratch.nodes.push(DagNode { id, size, state });
         self.scratch.index.insert(id, ix);
-        ix
+        Ok(ix)
     }
 
     /// Drains the expansion worklist depth-first.
-    fn build(&mut self) {
+    fn build(&mut self) -> Result<(), Fault> {
         while let Some((ix, depth, twig)) = self.scratch.build_stack.pop() {
             self.max_depth = self.max_depth.max(depth);
-            self.expand(ix, depth, &twig);
+            let expanded = self.expand(ix, depth, &twig);
             self.scratch.twig_pool.push(twig);
+            expanded?;
         }
+        Ok(())
     }
 
     /// Materializes one node's removable-pair operands into the arenas.
-    fn expand(&mut self, ix: u32, depth: usize, twig: &Twig) {
+    fn expand(&mut self, ix: u32, depth: usize, twig: &Twig) -> Result<(), Fault> {
         let mut rm_nodes = std::mem::take(&mut self.scratch.rm_nodes);
         let mut rm_pairs = std::mem::take(&mut self.scratch.rm_pairs);
         removable_pairs_into(twig, &mut rm_nodes, &mut rm_pairs);
@@ -323,22 +371,26 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
         let mut t1 = self.pooled_twig();
         let mut t2 = self.pooled_twig();
         let mut t12 = self.pooled_twig();
-        for &(u, v) in rm_pairs.iter().take(n) {
-            decompose_pair_into(twig, u, v, &mut t1, &mut t2, &mut t12);
-            let a = self.ensure_twig(&t1, depth + 1);
-            let b = self.ensure_twig(&t2, depth + 1);
-            let c = self.ensure_twig(&t12, depth + 1);
-            self.scratch.pairs.push([a, b, c]);
-        }
-        self.scratch.twig_pool.push(t1);
-        self.scratch.twig_pool.push(t2);
-        self.scratch.twig_pool.push(t12);
+        let mut operands = || -> Result<(), Fault> {
+            for &(u, v) in rm_pairs.iter().take(n) {
+                decompose_pair_into(twig, u, v, &mut t1, &mut t2, &mut t12);
+                let a = self.ensure_twig(&t1, depth + 1)?;
+                let b = self.ensure_twig(&t2, depth + 1)?;
+                let c = self.ensure_twig(&t12, depth + 1)?;
+                self.scratch.pairs.push([a, b, c]);
+            }
+            Ok(())
+        };
+        let expanded = operands();
+        self.scratch.twig_pool.extend([t1, t2, t12]);
         self.scratch.rm_nodes = rm_nodes;
         self.scratch.rm_pairs = rm_pairs;
+        expanded?;
         self.scratch.nodes[ix as usize].state = State::Pending {
             first_pair,
             n_pairs: n as u32,
         };
+        Ok(())
     }
 
     fn pooled_twig(&mut self) -> Twig {
@@ -348,7 +400,7 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
             .unwrap_or_else(|| Twig::single(LabelId(0)))
     }
 
-    fn ensure_twig(&mut self, twig: &Twig, depth: usize) -> u32 {
+    fn ensure_twig(&mut self, twig: &Twig, depth: usize) -> Result<u32, Fault> {
         let mut buf = self.scratch.byte_pool.pop().unwrap_or_default();
         self.scratch.encoder.encode_into(twig, &mut buf);
         let ix = self.ensure(&buf, depth);
@@ -359,11 +411,11 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
     /// One bottom-up pass over this round's pending nodes, smallest first.
     /// Every operand of a pending node is strictly smaller, so by the time a
     /// node is reached all its operands are resolved — either earlier this
-    /// round or in a previous one. Each node's value replicates the
-    /// recursive `decompose` average over its taken pairs exactly.
-    fn evaluate(&mut self) {
+    /// round or in a previous one. Each node's value is Figure 4's average
+    /// over its taken pairs.
+    fn evaluate(&mut self) -> Result<(), Fault> {
         if self.scratch.pending.is_empty() {
-            return;
+            return Ok(());
         }
         std::mem::swap(&mut self.scratch.pending, &mut self.scratch.order);
         self.scratch.pending.clear();
@@ -404,10 +456,13 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
                 cnt += 1;
             }
             let value = if cnt == 0 { 0.0 } else { sum / cnt as f64 };
-            self.scratch.nodes[ix as usize].state = State::Resolved(value);
-            self.cache.store(self.scratch.nodes[ix as usize].id, value);
+            let node = &mut self.scratch.nodes[ix as usize];
+            node.state = State::Resolved(value);
+            let (id, key_bytes) = (node.id, node.size as usize * 6);
+            self.cache_store(id, key_bytes, value)?;
         }
         self.scratch.order.clear();
+        Ok(())
     }
 
     fn resolved(&self, ix: u32) -> f64 {
@@ -426,18 +481,19 @@ thread_local! {
         std::cell::RefCell::new((KeyEncoder::new(), Vec::new()));
 }
 
-/// The DAG-backed equivalent of the recursive
-/// `estimate_with_cache_depth`: same estimator dispatch, same
-/// canonicalize-first handling for the fix-sized covers, bit-identical
-/// values. Generic over the pattern-store backend. Returns
-/// `(estimate, max expansion depth, dag statistics)`.
+/// Runs `estimator` on the DAG against any pattern-store backend, through
+/// `cache`. The fix-sized estimators canonicalize first, so isomorphic
+/// queries get identical covers. With `budget` set, the evaluation enforces
+/// it (see the module docs) and returns the first trip as `Err`; with
+/// `None` it cannot fail.
 pub(crate) fn estimate_dag<C: IdCache, S: PatternStore + ?Sized>(
     store: &S,
     twig: &Twig,
     estimator: Estimator,
     opts: &EstimateOptions,
     cache: &mut C,
-) -> (f64, usize, DagStats) {
+    budget: Option<Budget>,
+) -> Result<DagEstimate, Fault> {
     let voting = matches!(estimator, Estimator::RecursiveVoting);
     let cap = match estimator {
         Estimator::RecursiveVoting => opts.voting_cap.max(1),
@@ -446,6 +502,11 @@ pub(crate) fn estimate_dag<C: IdCache, S: PatternStore + ?Sized>(
     let k = store.max_size();
     match estimator {
         Estimator::Recursive | Estimator::RecursiveVoting => PROBE_SCRATCH.with(|s| {
+            // The deadline comes before the root probe, so an expired
+            // budget degrades even a query the cache could answer.
+            if let Some(budget) = &budget {
+                budget.check_deadline()?;
+            }
             // Probe the root before building anything: on a warm cache the
             // whole query resolves to one intern and one lookup, with no
             // arena, no expansion, and no allocation.
@@ -455,65 +516,84 @@ pub(crate) fn estimate_dag<C: IdCache, S: PatternStore + ?Sized>(
             if let Some(v) = cache.lookup(id) {
                 // One reference, no node materialized: warm repeats raise
                 // the cross-query dedup ratio instead of diluting it.
-                return (v, 0, DagStats { nodes: 0, refs: 1 });
+                return Ok((v, 0, DagStats { nodes: 0, refs: 1 }));
             }
             // Cold direct probe, mirroring `admit`'s resolution rules:
             // roots the store can answer (within-k exact counts, trivially
             // absent size ≤ 2 patterns) skip the arena machinery entirely.
-            match store.lookup_bytes(buf) {
-                Lookup::Exact(c) => {
-                    let v = c as f64;
-                    cache.store(id, v);
-                    return (v, 0, DagStats { nodes: 0, refs: 1 });
+            let direct = match store.lookup_bytes(buf) {
+                Lookup::Exact(c) => Some(c as f64),
+                Lookup::Derivable | Lookup::TooLarge if buf.len() / 6 <= 2 => Some(0.0),
+                Lookup::Derivable | Lookup::TooLarge => None,
+            };
+            if let Some(v) = direct {
+                if let Some(budget) = &budget {
+                    budget.check_mem(buf.len() as u64 + ENTRY_OVERHEAD)?;
                 }
-                Lookup::Derivable | Lookup::TooLarge if buf.len() / 6 <= 2 => {
-                    cache.store(id, 0.0);
-                    return (0.0, 0, DagStats { nodes: 0, refs: 1 });
-                }
-                Lookup::Derivable | Lookup::TooLarge => {}
+                cache.store(id, v);
+                return Ok((v, 0, DagStats { nodes: 0, refs: 1 }));
             }
             with_dag_scratch(|scratch| {
-                let mut ev = DagEvaluator::new(store, cache, voting, cap, scratch);
-                let value = ev.eval_probed_root(buf, id);
-                (value, ev.max_depth(), ev.stats())
+                let mut ev = DagEvaluator::new(store, cache, voting, cap, budget, scratch);
+                let value = ev.eval_probed_root(buf, id)?;
+                Ok((value, ev.max_depth(), ev.stats()))
             })
         }),
-        // Canonicalize first so the pre-order cover (and hence the result)
-        // is identical for isomorphic queries.
         Estimator::FixSized => with_dag_scratch(|scratch| {
-            let mut ev = DagEvaluator::new(store, cache, voting, cap, scratch);
+            let mut ev = DagEvaluator::new(store, cache, voting, cap, budget, scratch);
             let value = eval_fixed(
                 &mut ev,
                 &key_of(twig).decode(),
                 CoverStrategy::AncestorsFirst,
                 k,
-            );
-            (value, ev.max_depth(), ev.stats())
+            )?;
+            Ok((value, ev.max_depth(), ev.stats()))
         }),
         Estimator::FixSizedVoting => with_dag_scratch(|scratch| {
-            let mut ev = DagEvaluator::new(store, cache, voting, cap, scratch);
+            let mut ev = DagEvaluator::new(store, cache, voting, cap, budget, scratch);
             let canonical = key_of(twig).decode();
             let strategies = [CoverStrategy::AncestorsFirst, CoverStrategy::ChildrenFirst];
             let mut sum = 0.0f64;
             for &st in &strategies {
-                sum += eval_fixed(&mut ev, &canonical, st, k);
+                sum += eval_fixed(&mut ev, &canonical, st, k)?;
             }
             let value = sum / strategies.len() as f64;
-            (value, ev.max_depth(), ev.stats())
+            Ok((value, ev.max_depth(), ev.stats()))
         }),
     }
 }
 
+/// Fix-sized estimation over windows of an explicit `k` nodes — possibly
+/// smaller than the store's order — on a fresh per-query cache: the
+/// computation behind [`crate::estimate_fixed_at`] and, with `budget` set,
+/// the ladder's `ReducedK` rung.
+pub(crate) fn estimate_fixed_at_dag<S: PatternStore + ?Sized>(
+    store: &S,
+    twig: &Twig,
+    k: usize,
+    budget: Option<Budget>,
+) -> Result<f64, Fault> {
+    let mut cache = LocalIdCache::default();
+    with_dag_scratch(|scratch| {
+        let mut ev = DagEvaluator::new(store, &mut cache, false, 1, budget, scratch);
+        eval_fixed(
+            &mut ev,
+            &key_of(twig).decode(),
+            CoverStrategy::AncestorsFirst,
+            k,
+        )
+    })
+}
+
 /// The fix-sized telescoping product (Lemma 3) over DAG-evaluated windows.
-/// Windows are evaluated lazily in cover order with the same early-zero
-/// return as the recursive variant, so both the value and the set of
-/// evaluated windows match it exactly.
+/// Windows are evaluated lazily in cover order and the product returns zero
+/// at the first zero factor, so windows past it are never touched.
 fn eval_fixed<C: IdCache, S: PatternStore + ?Sized>(
     ev: &mut DagEvaluator<'_, '_, '_, C, S>,
     twig: &Twig,
     strategy: CoverStrategy,
     k: usize,
-) -> f64 {
+) -> Result<f64, Fault> {
     if twig.len() <= k {
         return ev.eval_twig(twig);
     }
@@ -524,20 +604,20 @@ fn eval_fixed<C: IdCache, S: PatternStore + ?Sized>(
     let mut numerator = 1.0f64;
     let mut denominator = 1.0f64;
     for step in fixed_cover_with(twig, k, strategy) {
-        let s_sub = ev.eval_twig(&step.subtree);
+        let s_sub = ev.eval_twig(&step.subtree)?;
         if s_sub <= 0.0 {
-            return 0.0;
+            return Ok(0.0);
         }
         numerator *= s_sub;
         if let Some(overlap) = &step.overlap {
-            let s_ov = ev.eval_twig(overlap);
+            let s_ov = ev.eval_twig(overlap)?;
             if s_ov <= 0.0 {
-                return 0.0;
+                return Ok(0.0);
             }
             denominator *= s_ov;
         }
     }
-    numerator / denominator
+    Ok(numerator / denominator)
 }
 
 #[cfg(test)]
@@ -546,7 +626,7 @@ mod tests {
     use tl_xml::LabelInterner;
 
     use super::*;
-    use crate::estimator::{estimate_with_cache_depth, EstimateOptions, Estimator};
+    use crate::estimator::{EstimateOptions, Estimator};
     use crate::summary::Summary;
 
     fn summary_of(patterns: &[(&str, u64)], k: usize) -> (Summary, LabelInterner) {
@@ -564,49 +644,15 @@ mod tests {
         tl_twig::parse_twig(s, it).unwrap()
     }
 
-    /// The DAG path must agree bit-for-bit with the recursive path on every
-    /// estimator, including the reported decomposition depth for queries
-    /// with no zero short-circuits.
-    #[test]
-    fn dag_matches_recursive_path_bitwise() {
-        let (s, mut it) = summary_of(
-            &[
-                ("a", 2),
-                ("b", 4),
-                ("c", 8),
-                ("d", 16),
-                ("a/b", 6),
-                ("b/c", 12),
-                ("c/d", 24),
-                ("a/c", 3),
-                ("a/d", 5),
-                ("b/d", 7),
-            ],
-            2,
-        );
-        let queries = [
-            "a/b/c/d",
-            "a[b][c]",
-            "a[b][c][d]",
-            "a[b[c]][d]",
-            "a/b[c][d]",
-        ];
-        let opts = EstimateOptions::default();
-        for qs in queries {
-            let t = q(&mut it, qs);
-            for e in Estimator::ALL {
-                let mut memo: FxHashMap<tl_twig::TwigKey, f64> = FxHashMap::default();
-                let (rec_v, rec_d) = estimate_with_cache_depth(&s, &t, e, &opts, &mut memo);
-                let mut cache = LocalIdCache::default();
-                let (dag_v, dag_d, stats) = estimate_dag(&s, &t, e, &opts, &mut cache);
-                assert_eq!(rec_v.to_bits(), dag_v.to_bits(), "{e} on {qs}");
-                assert!(
-                    dag_d >= rec_d,
-                    "DAG depth can only grow (eagerness): {e} on {qs}"
-                );
-                assert!(stats.refs >= stats.nodes);
-            }
-        }
+    /// Unbudgeted evaluation, which cannot fail.
+    fn plain<C: IdCache>(
+        s: &Summary,
+        t: &Twig,
+        e: Estimator,
+        opts: &EstimateOptions,
+        cache: &mut C,
+    ) -> DagEstimate {
+        estimate_dag(s, t, e, opts, cache, None).expect(UNBUDGETED)
     }
 
     /// Pinned DAG shape for a known query: the Markov chain `a/b/c/d` over
@@ -630,7 +676,7 @@ mod tests {
         );
         let t = q(&mut it, "a/b/c/d");
         let mut cache = LocalIdCache::default();
-        let (value, depth, stats) = estimate_dag(
+        let (value, depth, stats) = plain(
             &s,
             &t,
             Estimator::Recursive,
@@ -652,9 +698,8 @@ mod tests {
         let t = q(&mut it, "a/b/c");
         let opts = EstimateOptions::default();
         let mut cache = LocalIdCache::default();
-        let (cold, _, cold_stats) = estimate_dag(&s, &t, Estimator::Recursive, &opts, &mut cache);
-        let (warm, warm_depth, warm_stats) =
-            estimate_dag(&s, &t, Estimator::Recursive, &opts, &mut cache);
+        let (cold, _, cold_stats) = plain(&s, &t, Estimator::Recursive, &opts, &mut cache);
+        let (warm, warm_depth, warm_stats) = plain(&s, &t, Estimator::Recursive, &opts, &mut cache);
         assert_eq!(cold.to_bits(), warm.to_bits());
         assert!(cold_stats.nodes > 1);
         assert_eq!(warm_stats.nodes, 0, "no node materialized on a warm root");
@@ -672,18 +717,18 @@ mod tests {
         // Stored pattern: answered exactly.
         let t = q(&mut it, "a/b");
         let mut cache = LocalIdCache::default();
-        let (v, depth, stats) = estimate_dag(&s, &t, Estimator::Recursive, &opts, &mut cache);
+        let (v, depth, stats) = plain(&s, &t, Estimator::Recursive, &opts, &mut cache);
         assert_eq!(v, 6.0);
         assert_eq!(stats.nodes, 0, "no node materialized");
         assert_eq!(stats.refs, 1);
         assert_eq!(depth, 0);
         // Absent small pattern: exact zero, same shape.
         let t0 = q(&mut it, "b/a");
-        let (v0, _, stats0) = estimate_dag(&s, &t0, Estimator::Recursive, &opts, &mut cache);
+        let (v0, _, stats0) = plain(&s, &t0, Estimator::Recursive, &opts, &mut cache);
         assert_eq!(v0, 0.0);
         assert_eq!(stats0.nodes, 0);
         // Both roots are cached now: a repeat is a pure cache hit.
-        let (v1, _, _) = estimate_dag(&s, &t, Estimator::Recursive, &opts, &mut cache);
+        let (v1, _, _) = plain(&s, &t, Estimator::Recursive, &opts, &mut cache);
         assert_eq!(v1.to_bits(), v.to_bits());
     }
 
@@ -706,13 +751,13 @@ mod tests {
         let t = q(&mut it, "a[b][c][d]");
         let full_opts = EstimateOptions::default();
         let mut cache = LocalIdCache::default();
-        let (_, _, full) = estimate_dag(&s, &t, Estimator::RecursiveVoting, &full_opts, &mut cache);
+        let (_, _, full) = plain(&s, &t, Estimator::RecursiveVoting, &full_opts, &mut cache);
         let capped_opts = EstimateOptions {
             voting_cap: 1,
             ..EstimateOptions::default()
         };
         let mut cache2 = LocalIdCache::default();
-        let (capped_v, _, capped) = estimate_dag(
+        let (capped_v, _, capped) = plain(
             &s,
             &t,
             Estimator::RecursiveVoting,
@@ -725,11 +770,28 @@ mod tests {
     }
 
     /// Back-to-back evaluations on one thread reuse the pooled scratch and
-    /// stay bit-identical to fresh-arena evaluation (the pool only recycles
-    /// capacity, never state).
+    /// stay bit-identical (the pool only recycles capacity, never state);
+    /// the differential suite diffs the same sequence against the
+    /// independent reference.
     #[test]
     fn pooled_scratch_is_reset_between_queries() {
-        let (s, mut it) = summary_of(
+        let (s, mut it) = markov_chain_summary();
+        let opts = EstimateOptions::default();
+        let queries = ["a/b/c/d", "a/b/c", "b/c/d", "a/b/c/d"];
+        let mut first_pass: Vec<u64> = Vec::new();
+        for qs in queries {
+            let t = q(&mut it, qs);
+            // Fresh cache every time: every evaluation is fully cold and
+            // reuses the thread's scratch left dirty by the previous one.
+            let mut cache = LocalIdCache::default();
+            let (v, _, _) = plain(&s, &t, Estimator::Recursive, &opts, &mut cache);
+            first_pass.push(v.to_bits());
+        }
+        assert_eq!(first_pass[0], first_pass[3], "same query, same bits");
+    }
+
+    fn markov_chain_summary() -> (Summary, LabelInterner) {
+        summary_of(
             &[
                 ("a", 2),
                 ("b", 4),
@@ -740,26 +802,73 @@ mod tests {
                 ("c/d", 24),
             ],
             2,
-        );
+        )
+    }
+
+    /// A memory trip in the middle of a DAG build leaves the thread's
+    /// pooled scratch reusable: the next clean query on the same thread is
+    /// bit-identical to the same query on a fresh thread's fresh scratch.
+    #[test]
+    fn budget_trip_mid_build_leaves_the_scratch_reusable() {
+        let (s, mut it) = markov_chain_summary();
         let opts = EstimateOptions::default();
-        let queries = ["a/b/c/d", "a/b/c", "b/c/d", "a/b/c/d"];
-        let mut first_pass: Vec<u64> = Vec::new();
-        for qs in queries {
-            let t = q(&mut it, qs);
-            // Fresh cache every time: every evaluation is fully cold and
-            // reuses the thread's scratch left dirty by the previous one.
-            let mut cache = LocalIdCache::default();
-            let (v, _, _) = estimate_dag(&s, &t, Estimator::Recursive, &opts, &mut cache);
-            first_pass.push(v.to_bits());
-        }
-        assert_eq!(first_pass[0], first_pass[3], "same query, same bits");
-        // And against the recursive reference, still bit-identical.
-        for (qs, bits) in queries.iter().zip(&first_pass) {
-            let t = q(&mut it, qs);
-            let mut memo: FxHashMap<tl_twig::TwigKey, f64> = FxHashMap::default();
-            let (rec_v, _) =
-                estimate_with_cache_depth(&s, &t, Estimator::Recursive, &opts, &mut memo);
-            assert_eq!(rec_v.to_bits(), *bits, "{qs}");
-        }
+        let big = q(&mut it, "a/b/c/d");
+        // Two 2-node entries fit (12 + 32 bytes each); the third store trips
+        // during expansion, with an operand still queued on the stack.
+        let tight = Budget::unlimited().with_max_mem_bytes(90);
+        let mut cache = LocalIdCache::default();
+        let err = estimate_dag(
+            &s,
+            &big,
+            Estimator::Recursive,
+            &opts,
+            &mut cache,
+            Some(tight),
+        )
+        .expect_err("the cap trips mid-build");
+        assert_eq!(err.kind, tl_fault::FaultKind::BudgetExhausted);
+        assert!(
+            with_dag_scratch(|scratch| !scratch.build_stack.is_empty()),
+            "the trip landed mid-build"
+        );
+        let clean = |s: &Summary, t: &Twig| {
+            Estimator::ALL.map(|e| {
+                let mut cache = LocalIdCache::default();
+                plain(s, t, e, &opts, &mut cache).0.to_bits()
+            })
+        };
+        let same_thread = clean(&s, &big);
+        let fresh_thread = std::thread::scope(|scope| scope.spawn(|| clean(&s, &big)).join())
+            .expect("fresh thread ran");
+        assert_eq!(same_thread, fresh_thread);
+    }
+
+    /// An enforced budget is checked before the root probe: an expired
+    /// deadline fails even a query the warm cache could answer, while the
+    /// unbudgeted path answers it from the cache.
+    #[test]
+    fn expired_deadline_fails_before_the_warm_root_probe() {
+        let (s, mut it) = markov_chain_summary();
+        let opts = EstimateOptions::default();
+        let t = q(&mut it, "a/b/c");
+        let mut cache = LocalIdCache::default();
+        let (warm, _, _) = plain(&s, &t, Estimator::Recursive, &opts, &mut cache);
+        let expired = Budget {
+            deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
+            ..Budget::unlimited()
+        };
+        let err = estimate_dag(
+            &s,
+            &t,
+            Estimator::Recursive,
+            &opts,
+            &mut cache,
+            Some(expired),
+        )
+        .expect_err("deadline checked before the probe");
+        assert_eq!(err.kind, tl_fault::FaultKind::Timeout);
+        let (again, _, stats) = plain(&s, &t, Estimator::Recursive, &opts, &mut cache);
+        assert_eq!(again.to_bits(), warm.to_bits());
+        assert_eq!(stats.nodes, 0, "still a warm root hit");
     }
 }

@@ -38,7 +38,7 @@
 //! bytes and no allocation. Ids are content-addressed and never recycled, so
 //! generation invalidation stays a per-value concern exactly as before.
 //!
-//! Because cached values equal what the per-query recursion would compute,
+//! Because cached values equal what a per-query evaluation would compute,
 //! batch results are bit-for-bit identical to a sequential
 //! [`TreeLattice::estimate_with`] loop, for every estimator and any thread
 //! count. Two workers may race to compute the same key; both arrive at the
@@ -58,13 +58,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use tl_fault::{failpoints, Fault};
-use tl_twig::{Twig, TwigId, TwigInterner, TwigKey};
+use tl_twig::{Twig, TwigId, TwigInterner};
 use tl_xml::FxHashMap;
 
 use crate::catalog::Catalog;
-use crate::dag::{estimate_dag, IdCache};
-use crate::estimator::SubtwigCache;
-use crate::resilient::{estimate_resilient_with_cache, ResilientEstimate};
+use crate::dag::{estimate_dag, DagStats, IdCache, UNBUDGETED};
+use crate::resilient::{self, ResilientEstimate};
 use crate::{Degradation, EstimateOptions, Estimator, TreeLattice};
 
 /// Construction knobs for [`EstimationEngine`].
@@ -300,18 +299,37 @@ impl EstimationEngine {
             return 0.0;
         }
         let start = cache.recording.then(Instant::now);
-        let (value, depth, stats) = estimate_dag(catalog, twig, estimator, opts, cache);
-        cache.dag_nodes += stats.nodes;
-        cache.dag_refs += stats.refs;
+        let (value, depth, stats) =
+            estimate_dag(catalog, twig, estimator, opts, cache, None).expect(UNBUDGETED);
+        self.record_query(cache, start, Some((depth, stats)));
+        value
+    }
+
+    /// The per-query recording both the plain and the resilient paths
+    /// share: DAG size into the adapter's batched counters, and — when
+    /// recording — `engine.queries`, `engine.query.latency_us` since
+    /// `start`, and `engine.decomposition.depth`. `dag` is `None` when the
+    /// budgeted rung 1 tripped, so a degraded query adds no depth sample.
+    fn record_query(
+        &self,
+        cache: &mut SharedIdCache<'_>,
+        start: Option<Instant>,
+        dag: Option<(usize, DagStats)>,
+    ) {
+        if let Some((_, stats)) = dag {
+            cache.dag_nodes += stats.nodes;
+            cache.dag_refs += stats.refs;
+        }
         if let Some(start) = start {
             self.rec.add(tl_obs::names::ENGINE_QUERIES, 1);
             self.rec.observe(
                 tl_obs::names::QUERY_LATENCY_US,
                 start.elapsed().as_micros() as u64,
             );
-            self.rec.observe(tl_obs::names::DECOMP_DEPTH, depth as u64);
+            if let Some((depth, _)) = dag {
+                self.rec.observe(tl_obs::names::DECOMP_DEPTH, depth as u64);
+            }
         }
-        value
     }
 
     /// Estimates every twig in `batch`, in order, splitting the work over
@@ -388,7 +406,7 @@ impl EstimationEngine {
     /// [`tl_fault::FaultKind::WorkerPanic`].
     ///
     /// Only the undegraded rung reads and writes the shared cache —
-    /// degraded values stay in a query-local memo, so a budget-constrained
+    /// degraded values stay in a query-local cache, so a budget-constrained
     /// caller can never pollute estimates served to unconstrained ones.
     pub fn estimate_resilient(
         &self,
@@ -443,23 +461,26 @@ impl EstimationEngine {
                 cause: None,
             };
         }
-        // The resilient ladder stays on the byte-keyed `SubtwigCache`
-        // recursion (its budget accounting charges per key byte stored);
-        // the adapter below bridges those probes onto the id-keyed shards,
-        // so rung-1 values still share the engine cache with the DAG path.
-        let mut cache = SharedKeyCache {
-            inner: SharedIdCache::new(self, lattice.generation(), voting_class(estimator, opts)),
-        };
-        let start = self.rec.enabled().then(Instant::now);
-        let est =
-            estimate_resilient_with_cache(lattice.summary(), twig, estimator, opts, &mut cache);
-        if let Some(start) = start {
-            self.rec.add(tl_obs::names::ENGINE_QUERIES, 1);
-            self.rec.observe(
-                tl_obs::names::QUERY_LATENCY_US,
-                start.elapsed().as_micros() as u64,
-            );
-        }
+        // Rung 1 runs on the DAG through the shared id cache, exactly like
+        // `estimate_in` but with the budget enforced; degraded rungs use
+        // per-query caches and never touch the shards.
+        let mut cache =
+            SharedIdCache::new(self, lattice.generation(), voting_class(estimator, opts));
+        let start = cache.recording.then(Instant::now);
+        let mut dag = None;
+        let est = resilient::estimate_resilient(lattice, twig, opts, || {
+            let (value, depth, stats) = estimate_dag(
+                lattice,
+                twig,
+                estimator,
+                opts,
+                &mut cache,
+                Some(opts.budget),
+            )?;
+            dag = Some((depth, stats));
+            Ok(value)
+        });
+        self.record_query(&mut cache, start, dag);
         est
     }
 
@@ -708,25 +729,6 @@ impl Drop for SharedIdCache<'_> {
     }
 }
 
-/// Byte-keyed bridge for the resilient ladder: interns each probed key and
-/// forwards to the id-keyed shards, so rung-1 (undegraded) values are shared
-/// with the DAG fast path.
-struct SharedKeyCache<'e> {
-    inner: SharedIdCache<'e>,
-}
-
-impl SubtwigCache for SharedKeyCache<'_> {
-    fn lookup(&mut self, key: &TwigKey) -> Option<f64> {
-        let id = self.inner.intern(key.as_bytes());
-        self.inner.lookup(id)
-    }
-
-    fn store(&mut self, key: TwigKey, value: f64) {
-        let id = self.inner.intern(key.as_bytes());
-        self.inner.store(id, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use tl_xml::{parse_document, Document, ParseOptions};
@@ -911,6 +913,40 @@ mod tests {
             stats.misses
         );
         assert!(stats.hits > 0, "the repeated query must hit the cache");
+    }
+
+    /// The served path (`estimate_resilient`) feeds the same per-query
+    /// metrics as the plain path: one depth sample per query and the DAG
+    /// size counters, flushed with the cache counters.
+    #[test]
+    fn resilient_path_records_depth_and_dag_size() {
+        let lat = sample_lattice();
+        let rec = Arc::new(tl_obs::MetricsRecorder::new());
+        let engine = EstimationEngine::with_recorder(EngineConfig::default(), rec.clone());
+        let queries = ["a[b[c][d]][e]", "a/b/c", "a[b[c][d]][e]", "r/a/b/c"];
+        let opts = EstimateOptions::default();
+        for q in queries {
+            let twig = lat.parse_query(q).unwrap();
+            let res = engine
+                .estimate_resilient(&lat, &twig, Estimator::RecursiveVoting, &opts)
+                .expect("no fault injected");
+            assert_eq!(res.degradation, Degradation::None, "{q}");
+        }
+        let snap = rec.snapshot();
+        assert_eq!(
+            snap.histograms[tl_obs::names::DECOMP_DEPTH].count,
+            queries.len() as u64
+        );
+        let stats = engine.stats();
+        assert!(stats.dag_refs > 0, "resilient queries build DAGs");
+        assert_eq!(
+            snap.counters[tl_obs::names::ENGINE_DAG_REFS],
+            stats.dag_refs
+        );
+        assert_eq!(
+            snap.counters[tl_obs::names::ENGINE_DAG_NODES],
+            stats.dag_nodes
+        );
     }
 
     #[test]

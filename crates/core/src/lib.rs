@@ -55,7 +55,6 @@ pub mod explain;
 pub mod interval;
 pub mod online;
 pub mod pruning;
-pub mod reference;
 pub mod resilient;
 pub mod serialize;
 pub mod summary;
@@ -77,7 +76,6 @@ pub use explain::explain;
 pub use interval::{estimate_interval, IntervalEstimate};
 pub use online::{TunedLattice, TunerStats};
 pub use pruning::{prune_derivable, PruneReport};
-pub use reference::ReferenceEngine;
 pub use resilient::{markov_estimate, markov_estimate_store, ResilientEstimate};
 pub use serialize::ReadError;
 pub use summary::{Lookup, Summary};
@@ -251,8 +249,8 @@ impl TreeLattice {
     /// Merging is commutative and associative in the stored counts, but
     /// δ-pruning is *not* a monoid homomorphism: a pattern derivable in each
     /// operand may not be derivable in the sum. Merge all operands first,
-    /// then [`prune`](TreeLattice::prune) once — the order `gate_corpus`
-    /// verifies against sequential mining.
+    /// then [`prune`](TreeLattice::prune) once — the order the corpus gate
+    /// (`gates --only corpus`) verifies against sequential mining.
     pub fn merge(&mut self, other: &TreeLattice) {
         let map = self.labels.extend_from(other.labels());
         if map.iter().enumerate().all(|(i, id)| id.index() == i) {
@@ -355,7 +353,8 @@ impl TreeLattice {
         let start = rec.enabled().then(std::time::Instant::now);
         let mut cache = dag::LocalIdCache::default();
         let (value, depth, _stats) =
-            dag::estimate_dag(&self.summary, twig, estimator, opts, &mut cache);
+            dag::estimate_dag(&self.summary, twig, estimator, opts, &mut cache, None)
+                .expect(dag::UNBUDGETED);
         if let Some(start) = start {
             rec.add(tl_obs::names::ENGINE_QUERIES, 1);
             rec.observe(
@@ -387,8 +386,18 @@ impl TreeLattice {
                 cause: None,
             };
         }
-        let mut memo: tl_xml::FxHashMap<tl_twig::TwigKey, f64> = tl_xml::FxHashMap::default();
-        resilient::estimate_resilient_with_cache(&self.summary, twig, estimator, opts, &mut memo)
+        let mut cache = dag::LocalIdCache::default();
+        resilient::estimate_resilient(&self.summary, twig, opts, || {
+            dag::estimate_dag(
+                &self.summary,
+                twig,
+                estimator,
+                opts,
+                &mut cache,
+                Some(opts.budget),
+            )
+            .map(|(value, ..)| value)
+        })
     }
 
     /// Parses a query in the twig surface syntax and estimates it.

@@ -2,17 +2,21 @@
 //!
 //! A cardinality estimator embedded in a query optimizer must return *some*
 //! number for every query — a crude estimate beats an aborted plan search.
-//! [`estimate_resilient_with_cache`] runs the requested estimator under the
-//! caller's [`Budget`] and, instead of propagating a budget trip, climbs
-//! down a ladder of progressively cheaper models:
+//! [`estimate_resilient`] runs the requested estimator under the caller's
+//! [`Budget`](tl_fault::Budget) and, instead of propagating a budget trip,
+//! climbs down a ladder of progressively cheaper models:
 //!
-//! 1. **Requested estimator** (budget-enforced). Values are bit-for-bit
-//!    identical to the unbudgeted path, so this rung may share the engine's
-//!    cross-query cache.
+//! 1. **Requested estimator** (budget-enforced). The caller runs it on the
+//!    decomposition DAG with the budget as the evaluator's constructor
+//!    argument ([`crate::dag`]); values are bit-for-bit identical to the
+//!    unbudgeted path, so this rung may share the engine's cross-query
+//!    cache.
 //! 2. **Fix-sized at reduced k** ([`Degradation::ReducedK`]): windows of
 //!    `k_eff < k` nodes still resolve exactly from the summary's lower
-//!    levels; only the covering is coarser. Degraded values use a local
-//!    memo so they never pollute the shared cache.
+//!    levels; only the covering is coarser. The same DAG evaluator runs it,
+//!    budget-enforced, on a fresh per-query cache, so degraded values never
+//!    pollute the shared cache. [`crate::estimate_fixed_at`] is its
+//!    unbudgeted twin.
 //! 3. **First-order Markov product** ([`Degradation::Markov`]): a closed
 //!    form over summary levels 1–2 only — `s(root) · Π s(parent/child) /
 //!    s(parent)` over the twig's edges. No recursion, no allocation beyond
@@ -25,12 +29,10 @@
 use tl_fault::{Degradation, Fault};
 use tl_twig::canonical::key_of;
 use tl_twig::{Twig, TwigKey};
-use tl_xml::FxHashMap;
 
 use crate::catalog::PatternStore;
-use crate::estimator::{
-    try_estimate_fixed_at, try_estimate_with_cache_depth, EstimateOptions, Estimator, SubtwigCache,
-};
+use crate::dag::estimate_fixed_at_dag;
+use crate::estimator::EstimateOptions;
 use crate::summary::{Lookup, Summary};
 
 /// A selectivity estimate that always exists, tagged with how it was
@@ -56,15 +58,17 @@ impl ResilientEstimate {
     }
 }
 
-/// Runs the degradation ladder. Total: every path returns an estimate.
-pub(crate) fn estimate_resilient_with_cache<C: SubtwigCache>(
-    summary: &Summary,
+/// Runs the degradation ladder over `store`. `rung1` runs the requested
+/// estimator under `opts.budget` through whatever cache the caller owns;
+/// it is skipped when `max_k` forbids the sub-twig sizes the query needs.
+/// Total: every path returns an estimate.
+pub(crate) fn estimate_resilient<S: PatternStore + ?Sized>(
+    store: &S,
     twig: &Twig,
-    estimator: Estimator,
     opts: &EstimateOptions,
-    cache: &mut C,
+    rung1: impl FnOnce() -> Result<f64, Fault>,
 ) -> ResilientEstimate {
-    let k = summary.max_size();
+    let k = store.max_size();
     let capped = opts.budget.max_k.map(|mk| mk.max(2));
     let mut cause = None;
 
@@ -75,18 +79,17 @@ pub(crate) fn estimate_resilient_with_cache<C: SubtwigCache>(
         None => true,
     };
     if within_cap {
-        match try_estimate_with_cache_depth(summary, twig, estimator, opts, cache, true) {
-            Ok((value, _)) => return ResilientEstimate::exact(value),
+        match rung1() {
+            Ok(value) => return ResilientEstimate::exact(value),
             Err(fault) => cause = Some(fault),
         }
     }
 
-    // Rung 2: fix-sized covering at a reduced order, with a fresh local
-    // memo so degraded values never enter the shared cache.
+    // Rung 2: fix-sized covering at a reduced order, on a fresh per-query
+    // cache so degraded values never enter the shared cache.
     let k_eff = capped.unwrap_or(usize::MAX).min(k.saturating_sub(1)).max(2);
     if k_eff >= 2 && k >= 2 {
-        let mut local: FxHashMap<TwigKey, f64> = FxHashMap::default();
-        match try_estimate_fixed_at(summary, twig, k_eff, opts, &mut local, true) {
+        match estimate_fixed_at_dag(store, twig, k_eff, Some(opts.budget)) {
             Ok(value) => {
                 return ResilientEstimate {
                     value,
@@ -100,7 +103,7 @@ pub(crate) fn estimate_resilient_with_cache<C: SubtwigCache>(
 
     // Rung 3: the closed-form Markov product; never fails.
     ResilientEstimate {
-        value: markov_estimate(summary, twig),
+        value: markov_estimate_store(store, twig),
         degradation: Degradation::Markov,
         cause,
     }
@@ -161,7 +164,7 @@ mod tests {
     use tl_xml::{parse_document, ParseOptions};
 
     use super::*;
-    use crate::{BuildConfig, TreeLattice};
+    use crate::{BuildConfig, Estimator, TreeLattice};
 
     fn sample_lattice(k: usize) -> TreeLattice {
         let mut s = String::from("<r>");

@@ -27,7 +27,7 @@
 //! recovery yields tuner state bit-identical to a synchronous replay of
 //! the acknowledged prefix. Fail-point sites (`wal.append.torn`,
 //! `wal.append.short`, `wal.fsync`, `snapshot.before_rename`,
-//! `snapshot.after_rename`) let the chaos suite and `gate_recovery`
+//! `snapshot.after_rename`) let the chaos suite and `gates --only recovery`
 //! prove it for every injected crash point.
 
 use std::collections::VecDeque;
@@ -1053,6 +1053,10 @@ mod tests {
 
     use super::*;
 
+    // Fail-point plans are process-global: every test here that writes
+    // without injecting holds `failpoints::exclusive()`, so the crash-point
+    // test's plan cannot fire inside it from another test thread.
+
     fn test_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "tl-wal-{name}-{}-{:?}",
@@ -1095,6 +1099,7 @@ mod tests {
 
     #[test]
     fn append_replay_round_trips() {
+        let _guard = failpoints::exclusive();
         let dir = test_dir("roundtrip");
         let base = base_lattice();
         let (mut durable, report) =
@@ -1118,6 +1123,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_a_clean_end_of_log() {
+        let _guard = failpoints::exclusive();
         let dir = test_dir("torn");
         let base = base_lattice();
         let (mut durable, _) = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap();
@@ -1145,6 +1151,7 @@ mod tests {
 
     #[test]
     fn mid_log_corruption_is_a_typed_fault() {
+        let _guard = failpoints::exclusive();
         let dir = test_dir("midlog");
         let base = base_lattice();
         let (mut durable, _) = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap();
@@ -1163,6 +1170,7 @@ mod tests {
 
     #[test]
     fn snapshot_truncates_wal_and_recovery_prefers_it() {
+        let _guard = failpoints::exclusive();
         let dir = test_dir("snap");
         let base = base_lattice();
         let mut o = opts();
@@ -1183,6 +1191,7 @@ mod tests {
 
     #[test]
     fn corrupt_newest_snapshot_falls_back_to_predecessor() {
+        let _guard = failpoints::exclusive();
         let dir = test_dir("fallback");
         let base = base_lattice();
         let mut o = opts();
@@ -1218,6 +1227,7 @@ mod tests {
 
     #[test]
     fn idempotent_retry_does_not_double_apply() {
+        let _guard = failpoints::exclusive();
         let dir = test_dir("idem");
         let base = base_lattice();
         let (mut durable, _) = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap();
@@ -1293,6 +1303,7 @@ mod tests {
 
     #[test]
     fn drain_writes_a_final_snapshot() {
+        let _guard = failpoints::exclusive();
         let dir = test_dir("drain");
         let base = base_lattice();
         let (mut durable, _) = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap();
@@ -1322,6 +1333,7 @@ mod tests {
 
     #[test]
     fn seq_gap_is_a_typed_fault() {
+        let _guard = failpoints::exclusive();
         let dir = test_dir("gap");
         let base = base_lattice();
         let (mut durable, _) = DurableLattice::open(&dir, Some(&base), &opts(), &NOOP).unwrap();

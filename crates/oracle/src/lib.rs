@@ -9,6 +9,9 @@
 //!   (top-down permanent expansion; see [`enumerate`]) plus a capped match
 //!   enumerator, for 3-way differential testing;
 //! * [`laws`] — the paper's Lemmas as executable metamorphic laws;
+//! * [`reference`] — the paper's Figure 4/5 estimators as a plain memoized
+//!   recursion, the independent reference the decomposition kernel is
+//!   diffed against;
 //! * [`corpus`] — seeded random (document, twig) corpora, the Lemma 1
 //!   product-document construction, and a greedy counterexample shrinker.
 //!
@@ -18,6 +21,7 @@
 pub mod corpus;
 pub mod enumerate;
 pub mod laws;
+pub mod reference;
 
 pub use corpus::{
     describe_case, generate, product_document, seeds_from_env, shrink_case, Corpus, CorpusConfig,

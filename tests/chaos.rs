@@ -161,6 +161,9 @@ fn every_site_and_rule_yields_typed_outcomes_never_a_panic() {
                 failpoints::with_active(&format!("{site}={rule}"), seed, || {
                     drive_site(site, &doc, &lattice, &twig);
                 });
+                // Hold the plan lock while checking: another test thread
+                // may otherwise install its own plan in between.
+                let _guard = failpoints::exclusive();
                 assert!(!failpoints::is_active(), "plan leaked past with_active");
             }
         }
@@ -252,6 +255,9 @@ fn batch_partial_failure_is_isolated_and_cache_stays_consistent() {
 /// bit-for-bit the plain paths, all tagged undegraded.
 #[test]
 fn resilient_paths_match_plain_paths_when_nothing_fires() {
+    // "Nothing fires" needs the plan lock: another test thread may
+    // otherwise activate its plan mid-batch.
+    let _guard = failpoints::exclusive();
     let doc = dataset();
     let lattice = TreeLattice::build(&doc, &BuildConfig::with_k(3));
     let twigs = twigs_for(&doc, 10);
@@ -276,6 +282,9 @@ fn resilient_paths_match_plain_paths_when_nothing_fires() {
 /// `tests/gates/accuracy.json`.
 #[test]
 fn degraded_xmark_estimates_stay_within_5x_of_the_accuracy_gate() {
+    // Hold the plan lock so another test thread's plan cannot trip the
+    // enforced reduced-k rung.
+    let _guard = failpoints::exclusive();
     let gate_json = std::fs::read_to_string("../../tests/gates/accuracy.json")
         .expect("accuracy gate file present");
     let gate = tl_obs::Snapshot::from_json(&gate_json).expect("gate file is a tl-metrics snapshot");

@@ -7,15 +7,24 @@
 //! means exact. On any disagreement the case is shrunk to a minimal
 //! reproducer and printed in full.
 //!
+//! The estimators get the same treatment one level up: the decomposition
+//! DAG kernel behind every `treelattice` estimate must agree bit for bit
+//! with `tl_oracle::reference`, a plain memoized recursion of the paper's
+//! Figures 4 and 5, on hand-built summaries and on mined seeded corpora.
+//!
 //! `TL_ORACLE_SEED` (comma-separated seeds) narrows the run to one CI
 //! matrix slot; the default covers the full {1, 7, 42} matrix and the
 //! ≥ 500-pair acceptance floor.
 
+use tl_miner::MinedLattice;
 use tl_oracle::{
-    describe_case, generate, match_is_valid, seeds_from_env, shrink_case, CorpusConfig, Oracle,
+    describe_case, generate, match_is_valid, reference, seeds_from_env, shrink_case, CorpusConfig,
+    Oracle,
 };
+use tl_twig::canonical::key_of;
 use tl_twig::{MatchCounter, ReferenceMatchCounter, Twig};
-use tl_xml::Document;
+use tl_xml::{Document, FxHashMap, LabelInterner};
+use treelattice::{BuildConfig, EstimateOptions, Estimator, Summary, TreeLattice};
 
 const DEFAULT_SEEDS: &[u64] = &[1, 7, 42];
 
@@ -124,4 +133,139 @@ fn enumeration_spot_check_agrees_with_all_counters() {
         assert_eq!(by_root, matches.len() as u64);
     }
     assert!(enumerated >= 20, "only {enumerated} cases were enumerable");
+}
+
+/// Builds a summary directly from (query, count) pairs; every level up to
+/// `k` is complete, so a miss there is an exact zero.
+fn summary_of(patterns: &[(&str, u64)], k: usize) -> (Summary, LabelInterner) {
+    let mut it = LabelInterner::new();
+    let mut levels = vec![FxHashMap::default(); k];
+    for (q, c) in patterns {
+        let t = tl_twig::parse_twig(q, &mut it).unwrap();
+        assert!(t.len() <= k, "pattern {q} larger than k");
+        levels[t.len() - 1].insert(key_of(&t), *c);
+    }
+    (Summary::from_mined(MinedLattice::from_levels(levels)), it)
+}
+
+fn q(it: &mut LabelInterner, s: &str) -> Twig {
+    tl_twig::parse_twig(s, it).unwrap()
+}
+
+/// The DAG kernel must agree bit-for-bit with the reference recursion on
+/// every estimator.
+#[test]
+fn dag_matches_reference_bitwise() {
+    let (s, mut it) = summary_of(
+        &[
+            ("a", 2),
+            ("b", 4),
+            ("c", 8),
+            ("d", 16),
+            ("a/b", 6),
+            ("b/c", 12),
+            ("c/d", 24),
+            ("a/c", 3),
+            ("a/d", 5),
+            ("b/d", 7),
+        ],
+        2,
+    );
+    let queries = [
+        "a/b/c/d",
+        "a[b][c]",
+        "a[b][c][d]",
+        "a[b[c]][d]",
+        "a/b[c][d]",
+    ];
+    let opts = EstimateOptions::default();
+    for qs in queries {
+        let t = q(&mut it, qs);
+        for e in Estimator::ALL {
+            let want = reference::estimate(&s, &t, e, &opts);
+            let got = treelattice::estimate(&s, &t, e, &opts);
+            assert_eq!(want.to_bits(), got.to_bits(), "{e} on {qs}");
+        }
+    }
+}
+
+/// Back-to-back cold evaluations on one thread reuse the kernel's pooled
+/// scratch; each must still equal the reference bit for bit.
+#[test]
+fn pooled_scratch_matches_reference_back_to_back() {
+    let (s, mut it) = summary_of(
+        &[
+            ("a", 2),
+            ("b", 4),
+            ("c", 8),
+            ("d", 16),
+            ("a/b", 6),
+            ("b/c", 12),
+            ("c/d", 24),
+        ],
+        2,
+    );
+    let opts = EstimateOptions::default();
+    for qs in ["a/b/c/d", "a/b/c", "b/c/d", "a/b/c/d"] {
+        let t = q(&mut it, qs);
+        let want = reference::estimate(&s, &t, Estimator::Recursive, &opts);
+        let got = treelattice::estimate(&s, &t, Estimator::Recursive, &opts);
+        assert_eq!(want.to_bits(), got.to_bits(), "{qs}");
+    }
+}
+
+/// Mined summaries — unpruned and δ-pruned, so pruned-level misses
+/// re-derive — under every estimator, a capped voting width, and the
+/// fix-sized cover at an explicit smaller `k`.
+#[test]
+fn kernel_matches_reference_on_seeded_corpora() {
+    let seeds = seeds_from_env("TL_ORACLE_SEED", DEFAULT_SEEDS);
+    let capped = EstimateOptions {
+        voting_cap: 2,
+        ..EstimateOptions::default()
+    };
+    let mut compared = 0usize;
+    for &seed in &seeds {
+        let corpus = generate(&CorpusConfig {
+            seed,
+            docs: 2,
+            twigs_per_doc: 20,
+            ..CorpusConfig::default()
+        });
+        for (d, doc) in corpus.docs.iter().enumerate() {
+            let full = TreeLattice::build(doc, &BuildConfig::with_k(3));
+            let mut pruned = full.clone();
+            pruned.prune(0.1);
+            for lattice in [&full, &pruned] {
+                let s = lattice.summary();
+                for case in corpus.cases.iter().filter(|c| c.doc == d) {
+                    let t = &case.twig;
+                    for opts in [EstimateOptions::default(), capped] {
+                        for e in Estimator::ALL {
+                            let want = reference::estimate(s, t, e, &opts);
+                            let got = treelattice::estimate(s, t, e, &opts);
+                            assert_eq!(
+                                want.to_bits(),
+                                got.to_bits(),
+                                "seed {seed}: {e} diverged\n{}",
+                                describe_case(doc, t)
+                            );
+                            compared += 1;
+                        }
+                    }
+                    if t.len() > 2 {
+                        let want = reference::estimate_fixed_at(s, t, 2);
+                        let got = treelattice::estimate_fixed_at(s, t, 2, &capped);
+                        assert_eq!(
+                            want.to_bits(),
+                            got.to_bits(),
+                            "seed {seed}: fix-sized at k=2 diverged\n{}",
+                            describe_case(doc, t)
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(compared >= 200, "only {compared} comparisons");
 }

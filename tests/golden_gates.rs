@@ -2,7 +2,7 @@
 //! when the current build regresses past the committed q-error/MRE
 //! envelopes in `tests/gates/golden_accuracy.json`.
 //!
-//! The full seed matrix runs in CI via the `gate_golden` binary (release
+//! The full seed matrix runs in CI via `gates --only golden` (release
 //! build, one seed per matrix slot). This debug-mode test defaults to the
 //! single seed 42 to keep `cargo test -q` fast; `TL_GOLDEN_SEED` selects
 //! others.
