@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! treelattice build <input.xml> -o <summary.tlat> [--k N] [--delta D] [--threads N] [--values MODE]
-//! treelattice estimate <summary.tlat> <query> [--estimator recursive|voting|fixed] [--values MODE] [--engine-cache] [--threads N]
-//! treelattice workload <summary.tlat> <queries.txt> [--estimator ...] [--values MODE] [--engine-cache] [--threads N]
+//! treelattice estimate <summary.tlat> <query> [--estimator recursive|voting|fixed] [--values MODE] [--mmap] [--threads N]
+//! treelattice workload <summary.tlat> <queries.txt> [--estimator ...] [--values MODE] [--threads N]
 //! treelattice explain <summary.tlat> <query>
 //! treelattice truth <input.xml> <query> [--values MODE]
 //! treelattice inspect <summary.tlat>
@@ -14,11 +14,13 @@
 //! treelattice metrics report <metrics.json>
 //! ```
 //!
+//! `estimate` and `workload` run every query through one engine call
+//! ([`treelattice::EstimationEngine`]): its shared cross-query sub-twig
+//! cache and its degradation ladder, over whichever catalog was opened —
+//! the loaded summary, or with `estimate --mmap` the zero-copy mapped frame.
 //! `workload` estimates one query per line of `<queries.txt>` (blank lines
-//! and `#` comments skipped). `--engine-cache` routes estimation through
-//! the shared cross-query sub-twig cache ([`treelattice::EstimationEngine`])
-//! and reports its hit rate; `--threads` sets the batch worker count
-//! (0 = available parallelism).
+//! and `#` comments skipped) and reports the cache hit rate; `--threads`
+//! sets the batch worker count (0 = available parallelism).
 //!
 //! `MODE` is `ignore` (default), `exact`, or `bucket:<N>`; pass the same
 //! mode to `build`, `estimate`, and `truth` so value predicates
@@ -65,7 +67,7 @@ use tl_fault::failpoints;
 use tl_twig::parse_twig;
 use tl_xml::{parse_document_observed, DocIndex, ParseOptions, ValueMode};
 use treelattice::{
-    exit_code, Budget, BuildConfig, Catalog as _, CorpusConfig, EngineConfig, EstimateOptions,
+    exit_code, Budget, BuildConfig, Catalog, CorpusConfig, EngineConfig, EstimateOptions,
     EstimationEngine, Estimator, Fault, MmapCatalog, Outcome, ResilientEstimate, TreeLattice,
 };
 
@@ -124,8 +126,8 @@ USAGE:
   treelattice summary merge <a.tlat> <b.tlat> [more.tlat ...] -o <out.tlat> [--delta D]
   treelattice summary recover <wal-dir> -o <out.tlat> [--base <base.tlat>] [--online-budget N]
   treelattice summary snapshot <wal-dir> [--base <base.tlat>] [--online-budget N]
-  treelattice estimate <summary.tlat|input.xml> <query> [--estimator recursive|voting|fixed] [--values MODE] [--engine-cache] [--mmap] [--threads N] [--k N]
-  treelattice workload <summary.tlat> <queries.txt> [--estimator recursive|voting|fixed] [--values MODE] [--engine-cache] [--threads N]
+  treelattice estimate <summary.tlat|input.xml> <query> [--estimator recursive|voting|fixed] [--values MODE] [--mmap] [--threads N] [--k N]
+  treelattice workload <summary.tlat> <queries.txt> [--estimator recursive|voting|fixed] [--values MODE] [--threads N]
   treelattice explain <summary.tlat> <query>
   treelattice truth <input.xml> <query> [--values MODE]
   treelattice inspect <summary.tlat>
@@ -136,8 +138,8 @@ USAGE:
 Queries use the twig syntax: a/b/c, //laptop[brand][price], a[b[d]][c/e];
 with --values, equality predicates like item[incategory=\"category3\"].
 MODE is ignore (default), exact, or bucket:<N>.
-`workload` reads one query per line; --engine-cache shares sub-twig
-estimates across the whole batch and reports the cache hit rate.
+`workload` reads one query per line, shares sub-twig estimates across
+the whole batch, and reports the cache hit rate.
 Any command also takes --metrics <path>: on success a tl-metrics/1 JSON
 snapshot (parse/index/mine/match/cache/latency metrics) is written there;
 render one with `metrics report`. Passing an .xml file to `estimate`
@@ -162,7 +164,8 @@ recovered state as a plain summary; `summary snapshot` additionally
 publishes an atomic snapshot there and truncates the WAL.
 `estimate --mmap` serves
 pattern lookups zero-copy from the on-disk frame through a
-checksum-validated memory map instead of loading the summary.
+checksum-validated memory map instead of loading the summary; budgets
+and degradation work the same on either backend.
 Exit codes: 0 = success or degraded, 2 = usage error, 3 = fault.
 Catalog-open faults exit 3 like any other fault: a missing file, a
 truncated frame, or a checksum mismatch (CorruptSummary) — whether from
@@ -185,12 +188,20 @@ impl Obs {
         }
     }
 
-    /// A shared handle for the estimation engine's worker threads.
-    fn shared(&self) -> Arc<dyn tl_obs::Recorder> {
-        match &self.recorder {
+    /// An estimation engine with `threads` batch workers, reporting to
+    /// this invocation's recorder from every worker thread.
+    fn engine(&self, threads: usize) -> EstimationEngine {
+        let rec: Arc<dyn tl_obs::Recorder> = match &self.recorder {
             Some(r) => r.clone(),
             None => Arc::new(tl_obs::Noop),
-        }
+        };
+        EstimationEngine::with_recorder(
+            EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            },
+            rec,
+        )
     }
 
     /// Writes the snapshot to the requested path, if any.
@@ -335,8 +346,8 @@ pub fn run(args: &[String], out: &mut String, err: &mut String) -> Result<(), Cl
 }
 
 /// Consumes the `--budget-ms` / `--budget-mem` / `--budget-k` flags,
-/// returning the assembled [`Budget`] and whether any limit was set.
-fn parse_budget(args: &mut Args<'_>) -> Result<(Budget, bool), CliError> {
+/// returning the assembled [`Budget`] (unlimited when none is given).
+fn parse_budget(args: &mut Args<'_>) -> Result<Budget, CliError> {
     let ms: Option<u64> = args.numeric("--budget-ms")?;
     let mem: Option<u64> = args.numeric("--budget-mem")?;
     let max_k: Option<usize> = args.numeric("--budget-k")?;
@@ -353,7 +364,7 @@ fn parse_budget(args: &mut Args<'_>) -> Result<(Budget, bool), CliError> {
         }
         budget = budget.with_max_k(k);
     }
-    Ok((budget, ms.is_some() || mem.is_some() || max_k.is_some()))
+    Ok(budget)
 }
 
 /// Appends the stderr note for a degraded estimate.
@@ -528,7 +539,7 @@ fn cmd_build(
         let raw = args.flag_value("--values")?.map(str::to_owned);
         parse_value_mode(raw.as_deref())?
     };
-    let (budget, _) = parse_budget(&mut args)?;
+    let budget = parse_budget(&mut args)?;
     let input = args.positional("input.xml")?.to_owned();
     args.finish()?;
     if k < 2 {
@@ -774,54 +785,38 @@ fn cmd_estimate(
         let raw = args.flag_value("--values")?.map(str::to_owned);
         parse_value_mode(raw.as_deref())?
     };
-    let engine_cache = args.flag("--engine-cache");
     let use_mmap = args.flag("--mmap");
     let threads: usize = args.numeric("--threads")?.unwrap_or(0);
     let k: usize = args.numeric("--k")?.unwrap_or(4);
-    let (budget, budgeted) = parse_budget(&mut args)?;
+    let budget = parse_budget(&mut args)?;
     let summary_path = args.positional("summary.tlat|input.xml")?.to_owned();
     let query = args.positional("query")?.to_owned();
     args.finish()?;
     if k < 2 {
         return Err(CliError::usage("--k must be at least 2"));
     }
-
-    // Zero-copy mode: validate the frame once, then serve every pattern
-    // lookup straight from the mapped bytes — nothing is deserialized.
-    if use_mmap {
-        if summary_path.ends_with(".xml") {
-            return Err(CliError::usage("--mmap needs a stored <summary.tlat>"));
-        }
-        if budgeted {
-            return Err(CliError::usage(
-                "--mmap does not combine with --budget-* (the degradation ladder is in-memory only)",
-            ));
-        }
-        let catalog = MmapCatalog::open_observed(Path::new(&summary_path), obs.rec())
-            .map_err(|e| CliError::fault(format!("{summary_path}: {e}")))?;
-        let twig = parse_query_in(catalog.labels(), &query, values)?;
-        let opts = EstimateOptions::default();
-        let est = if engine_cache {
-            let engine = EstimationEngine::with_recorder(
-                EngineConfig {
-                    threads,
-                    ..EngineConfig::default()
-                },
-                obs.shared(),
-            );
-            engine.estimate_catalog(&catalog, &twig, estimator, &opts)
-        } else {
-            treelattice::estimate_catalog(&catalog, &twig, estimator, &opts)
-        };
-        catalog.flush_lookups(obs.rec());
-        let _ = writeln!(out, "{est:.3}");
-        return Ok(());
+    let one_shot = summary_path.ends_with(".xml");
+    if use_mmap && one_shot {
+        return Err(CliError::usage("--mmap needs a stored <summary.tlat>"));
     }
 
-    // One-shot mode: given raw XML, build a throwaway lattice in memory and
-    // keep the document around to report the exact count as well.
-    let one_shot = summary_path.ends_with(".xml");
-    let (lattice, source) = if one_shot {
+    let engine = obs.engine(threads);
+    let opts = EstimateOptions {
+        budget,
+        ..EstimateOptions::default()
+    };
+    let mut source = None;
+    let (twig, est) = if use_mmap {
+        // Zero-copy mode: validate the frame once, then serve every pattern
+        // lookup straight from the mapped bytes — nothing is deserialized.
+        let catalog = MmapCatalog::open_observed(Path::new(&summary_path), obs.rec())
+            .map_err(|e| CliError::fault(format!("{summary_path}: {e}")))?;
+        let answer = estimate_on(&engine, &catalog, &query, values, estimator, &opts, err)?;
+        catalog.flush_lookups(obs.rec());
+        answer
+    } else if one_shot {
+        // One-shot mode: given raw XML, build a throwaway lattice in memory
+        // and keep the document around to report the exact count as well.
         let doc = load_document_with(&summary_path, values, obs.rec())?;
         let index = DocIndex::new_observed(&doc, obs.rec());
         let lattice = TreeLattice::build_with_index_observed(
@@ -835,37 +830,11 @@ fn cmd_estimate(
             },
             obs.rec(),
         );
-        (lattice, Some((doc, index)))
+        source = Some((doc, index));
+        estimate_on(&engine, &lattice, &query, values, estimator, &opts, err)?
     } else {
-        (load_summary(&summary_path)?, None)
-    };
-
-    let twig = parse_query_for(&lattice, &query, values)?;
-    let opts = EstimateOptions {
-        budget,
-        ..EstimateOptions::default()
-    };
-    let est = if engine_cache {
-        let engine = EstimationEngine::with_recorder(
-            EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            },
-            obs.shared(),
-        );
-        if budgeted {
-            let resilient = engine.estimate_resilient(&lattice, &twig, estimator, &opts)?;
-            note_degraded(err, "estimate", &resilient);
-            resilient.value
-        } else {
-            engine.estimate(&lattice, &twig, estimator, &opts)
-        }
-    } else if budgeted {
-        let resilient = lattice.estimate_resilient(&twig, estimator, &opts);
-        note_degraded(err, "estimate", &resilient);
-        resilient.value
-    } else {
-        lattice.estimate_with_observed(&twig, estimator, &opts, obs.rec())
+        let lattice = load_summary(&summary_path)?;
+        estimate_on(&engine, &lattice, &query, values, estimator, &opts, err)?
     };
     let _ = writeln!(out, "{est:.3}");
 
@@ -890,18 +859,26 @@ fn cmd_estimate(
     Ok(())
 }
 
-/// Parses one query against a lattice's label table, honoring the value
-/// mode (unknown labels map to fresh ids that estimate to zero).
-fn parse_query_for(
-    lattice: &TreeLattice,
+/// Parses `query` against `catalog`'s labels and runs it through the
+/// engine's degradation ladder under `opts.budget`, noting a degraded
+/// answer on stderr. Returns the parsed twig and the estimate.
+fn estimate_on<C: Catalog + ?Sized>(
+    engine: &EstimationEngine,
+    catalog: &C,
     query: &str,
     values: ValueMode,
-) -> Result<tl_twig::Twig, CliError> {
-    parse_query_in(lattice.labels(), query, values)
+    estimator: Estimator,
+    opts: &EstimateOptions,
+    err: &mut String,
+) -> Result<(tl_twig::Twig, f64), CliError> {
+    let twig = parse_query_in(catalog.labels(), query, values)?;
+    let est = engine.estimate_resilient(catalog, &twig, estimator, opts)?;
+    note_degraded(err, "estimate", &est);
+    Ok((twig, est.value))
 }
 
-/// [`parse_query_for`] against a bare label table — what catalog backends
-/// expose without materializing a lattice.
+/// Parses one query against a catalog's label table, honoring the value
+/// mode (unknown labels map to fresh ids that estimate to zero).
 fn parse_query_in(
     labels: &tl_xml::LabelInterner,
     query: &str,
@@ -930,9 +907,8 @@ fn cmd_workload(
         let raw = args.flag_value("--values")?.map(str::to_owned);
         parse_value_mode(raw.as_deref())?
     };
-    let engine_cache = args.flag("--engine-cache");
     let threads: usize = args.numeric("--threads")?.unwrap_or(0);
-    let (budget, budgeted) = parse_budget(&mut args)?;
+    let budget = parse_budget(&mut args)?;
     let summary_path = args.positional("summary.tlat")?.to_owned();
     let queries_path = args.positional("queries.txt")?.to_owned();
     args.finish()?;
@@ -947,7 +923,7 @@ fn cmd_workload(
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        twigs.push(parse_query_for(&lattice, line, values)?);
+        twigs.push(parse_query_in(lattice.labels(), line, values)?);
         queries.push(line.to_owned());
     }
     if twigs.is_empty() {
@@ -958,48 +934,11 @@ fn cmd_workload(
         budget,
         ..EstimateOptions::default()
     };
+    let engine = obs.engine(threads);
     let start = std::time::Instant::now();
-    // Budgeted (or chaos-exposed) runs go through the resilient paths: each
-    // query comes back as an estimate, possibly degraded, or a typed fault.
-    let resilient = budgeted || failpoints::is_active();
-    let (results, stats): (Vec<Result<ResilientEstimate, Fault>>, _) = if engine_cache {
-        let engine = EstimationEngine::with_recorder(
-            EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            },
-            obs.shared(),
-        );
-        let results = if resilient {
-            engine.estimate_batch_resilient(&lattice, &twigs, estimator, &opts)
-        } else {
-            engine
-                .estimate_batch(&lattice, &twigs, estimator, &opts)
-                .into_iter()
-                .map(|v| Ok(ResilientEstimate::exact(v)))
-                .collect()
-        };
-        (results, Some(engine.stats()))
-    } else {
-        (
-            twigs
-                .iter()
-                .map(|t| {
-                    if resilient {
-                        Ok(lattice.estimate_resilient(t, estimator, &opts))
-                    } else {
-                        Ok(ResilientEstimate::exact(lattice.estimate_with_observed(
-                            t,
-                            estimator,
-                            &opts,
-                            obs.rec(),
-                        )))
-                    }
-                })
-                .collect(),
-            None,
-        )
-    };
+    // Each query comes back as an estimate, possibly degraded under the
+    // budget, or as a typed fault contained to that query.
+    let results = engine.estimate_batch_resilient(&lattice, &twigs, estimator, &opts);
     let elapsed = start.elapsed();
 
     let mut degraded = 0usize;
@@ -1036,26 +975,25 @@ fn cmd_workload(
             "{queries_path}: all {faulted} queries faulted"
         )));
     }
-    if let Some(stats) = stats {
-        let _ = writeln!(
-            out,
-            "# engine cache: {} hits / {} misses ({:.1}% hit rate), {} entries, {} bytes",
-            stats.hits,
-            stats.misses,
-            100.0 * stats.hit_rate(),
-            stats.entries,
-            stats.bytes
-        );
-        let _ = writeln!(
-            out,
-            "# engine interner: {} keys, {} key bytes cloned; dag: {} nodes / {} refs ({:.2}x dedup)",
-            stats.interner_keys,
-            stats.key_clone_bytes,
-            stats.dag_nodes,
-            stats.dag_refs,
-            stats.dedup_ratio()
-        );
-    }
+    let stats = engine.stats();
+    let _ = writeln!(
+        out,
+        "# engine cache: {} hits / {} misses ({:.1}% hit rate), {} entries, {} bytes",
+        stats.hits,
+        stats.misses,
+        100.0 * stats.hit_rate(),
+        stats.entries,
+        stats.bytes
+    );
+    let _ = writeln!(
+        out,
+        "# engine interner: {} keys, {} key bytes cloned; dag: {} nodes / {} refs ({:.2}x dedup)",
+        stats.interner_keys,
+        stats.key_clone_bytes,
+        stats.dag_nodes,
+        stats.dag_refs,
+        stats.dedup_ratio()
+    );
     Ok(())
 }
 
@@ -1350,12 +1288,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    #[test]
-    fn workload_runs_batch_with_and_without_engine_cache() {
-        let dir = tempdir();
+    /// Queries over a small XMark summary (k = 3), one of them unknown.
+    const XMARK_QUERIES: [&str; 5] = [
+        "item/mailbox",
+        "item[mailbox][payment]",
+        "site/regions",
+        "item[mailbox/mail][name][payment]",
+        "nosuchtag/item",
+    ];
+
+    /// The CLI names of the estimators, paired with the library's.
+    const ESTIMATORS: [(&str, Estimator); 3] = [
+        ("recursive", Estimator::Recursive),
+        ("voting", Estimator::RecursiveVoting),
+        ("fixed", Estimator::FixSized),
+    ];
+
+    /// Generates and builds the XMark summary in `dir`; returns its path
+    /// and the lattice loaded back from it.
+    fn xmark_summary(dir: &std::path::Path) -> (String, TreeLattice) {
         let xml = dir.join("w.xml");
         let tlat = dir.join("w.tlat");
-        let queries = dir.join("w.txt");
         call(&[
             "gen",
             "xmark",
@@ -1376,70 +1329,80 @@ mod tests {
             "3",
         ])
         .unwrap();
-        std::fs::write(
-            &queries,
-            "# a comment\nitem/mailbox\n\nitem[mailbox][payment]\nsite/regions\n",
-        )
-        .unwrap();
+        let lattice = TreeLattice::from_bytes(&std::fs::read(&tlat).unwrap()).unwrap();
+        (tlat.to_str().unwrap().to_owned(), lattice)
+    }
 
-        let plain = call(&[
-            "workload",
-            tlat.to_str().unwrap(),
-            queries.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(plain.contains("# 3 queries in"), "{plain}");
-        assert!(!plain.contains("engine cache"), "{plain}");
+    /// What the library's plain `TreeLattice::estimate_with` (no engine,
+    /// no shared cache) computes for `q`, formatted as the CLI prints it.
+    fn plain_estimate(lattice: &TreeLattice, q: &str, est: Estimator) -> String {
+        let twig = lattice.parse_query(q).unwrap();
+        let v = lattice.estimate_with(&twig, est, &EstimateOptions::default());
+        format!("{v:.3}")
+    }
 
-        let cached = call(&[
-            "workload",
-            tlat.to_str().unwrap(),
-            queries.to_str().unwrap(),
-            "--engine-cache",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        assert!(cached.contains("# engine cache:"), "{cached}");
-        assert!(cached.contains("hit rate"), "{cached}");
-
-        // Same estimates either way, line for line.
-        let ests = |s: &str| -> Vec<String> {
-            s.lines()
+    /// `workload` runs the batch through the engine's shared cache; line
+    /// for line it prints the plain, uncached library estimates.
+    #[test]
+    fn workload_runs_batch_with_and_without_engine_cache() {
+        let dir = tempdir();
+        let (tlat, lattice) = xmark_summary(&dir);
+        let queries = dir.join("w.txt");
+        let body = XMARK_QUERIES.join("\n");
+        std::fs::write(&queries, format!("# a comment\n\n{body}\n")).unwrap();
+        for (name, est) in ESTIMATORS {
+            let want: Vec<String> = XMARK_QUERIES
+                .iter()
+                .map(|q| plain_estimate(&lattice, q, est))
+                .collect();
+            let batch = call(&[
+                "workload",
+                &tlat,
+                queries.to_str().unwrap(),
+                "--estimator",
+                name,
+                "--threads",
+                "2",
+            ])
+            .unwrap();
+            assert!(batch.contains("# 5 queries in"), "{batch}");
+            assert!(batch.contains("# engine cache:"), "{batch}");
+            assert!(batch.contains("hit rate"), "{batch}");
+            let got: Vec<String> = batch
+                .lines()
                 .filter(|l| !l.starts_with('#'))
-                .map(str::to_owned)
-                .collect()
-        };
-        assert_eq!(ests(&plain), ests(&cached));
+                .map(|l| l.split('\t').next().unwrap().to_owned())
+                .collect();
+            assert_eq!(got, want, "{name} workload");
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
 
+    /// `estimate` runs through the engine's shared cache on both backends
+    /// and prints exactly the plain, uncached library estimate.
+    #[test]
+    fn estimate_engine_cache_matches_plain_estimate() {
+        let dir = tempdir();
+        let (tlat, lattice) = xmark_summary(&dir);
+        for (name, est) in ESTIMATORS {
+            for q in XMARK_QUERIES {
+                let want = plain_estimate(&lattice, q, est);
+                let plain = call(&["estimate", &tlat, q, "--estimator", name]).unwrap();
+                let mmap = call(&["estimate", &tlat, q, "--estimator", name, "--mmap"]).unwrap();
+                assert_eq!(plain.trim(), want, "{name} {q}");
+                assert_eq!(mmap.trim(), want, "{name} {q} --mmap");
+            }
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn estimate_engine_cache_matches_plain_estimate() {
-        let dir = tempdir();
-        let xml = dir.join("ec.xml");
-        let tlat = dir.join("ec.tlat");
-        std::fs::write(&xml, "<r><a><b/><c/></a><a><b/><c/></a><a><b/></a></r>").unwrap();
-        call(&[
-            "build",
-            xml.to_str().unwrap(),
-            "-o",
-            tlat.to_str().unwrap(),
-            "--k",
-            "3",
-        ])
-        .unwrap();
-        let plain = call(&["estimate", tlat.to_str().unwrap(), "a[b][c]"]).unwrap();
-        let cached = call(&[
-            "estimate",
-            tlat.to_str().unwrap(),
-            "a[b][c]",
-            "--engine-cache",
-        ])
-        .unwrap();
-        assert_eq!(plain, cached);
-        let _ = std::fs::remove_dir_all(dir);
+    fn engine_cache_flag_is_a_usage_error() {
+        for cmd in ["estimate", "workload"] {
+            let err = call(&[cmd, "x.tlat", "a/b", "--engine-cache"]).unwrap_err();
+            assert_eq!(err.code, 2, "{cmd}: {}", err.message);
+            assert!(err.message.contains("--engine-cache"), "{}", err.message);
+        }
     }
 
     #[test]
@@ -1714,7 +1677,6 @@ mod tests {
             "workload",
             tlat.to_str().unwrap(),
             queries.to_str().unwrap(),
-            "--engine-cache",
             "--threads",
             "1",
             "--chaos",
@@ -1734,7 +1696,6 @@ mod tests {
             "workload",
             tlat.to_str().unwrap(),
             queries.to_str().unwrap(),
-            "--engine-cache",
             "--threads",
             "1",
         ])
@@ -1853,7 +1814,6 @@ mod tests {
             "item/mailbox",
             "--k",
             "3",
-            "--engine-cache",
             "--metrics",
             metrics.to_str().unwrap(),
         ])
@@ -1961,7 +1921,6 @@ mod tests {
             "workload",
             tlat.to_str().unwrap(),
             queries.to_str().unwrap(),
-            "--engine-cache",
             "--metrics",
             metrics.to_str().unwrap(),
         ])

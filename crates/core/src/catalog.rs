@@ -3,11 +3,10 @@
 //! The estimator only ever asks two things of its statistics store: "what is
 //! the count behind these canonical key bytes" and "how large may a stored
 //! pattern be". [`PatternStore`] captures exactly that, which lets the same
-//! decomposition DAG run against three backends:
+//! decomposition DAG run against two backends:
 //!
-//! * **in-memory** — [`Summary`] / [`TreeLattice`], the mined hash tables;
-//! * **file** — [`FileCatalog`], the checksummed binary frame loaded eagerly
-//!   back into hash tables (one validation + one deserialization at open);
+//! * **in-memory** — [`Summary`] / [`TreeLattice`], the mined hash tables
+//!   (a stored frame loads into them through [`TreeLattice::from_bytes`]);
 //! * **mmap** — [`MmapCatalog`], the same frame served *in place*: the file
 //!   is mapped read-only, the CRC-32 and structure are validated once at
 //!   open, and every lookup afterwards is a binary search over the mapped
@@ -21,20 +20,24 @@
 //! `O(log n)` pointer arithmetic over the mapping.
 //!
 //! [`Catalog`] extends [`PatternStore`] with the label table and content
-//! generation the estimation engine needs to key its shared cache.
+//! generation the estimation engine needs to key its shared cache. Every
+//! estimation entry point — [`estimate_catalog`], [`TreeLattice`]'s own
+//! methods, and the [`EstimationEngine`](crate::EstimationEngine) with its
+//! degradation ladder — takes any `Catalog`, so the backend only decides
+//! where the counts come from.
 
 use std::fmt;
 use std::fs::File;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tl_twig::{Twig, TwigParseError};
+use tl_twig::Twig;
 use tl_xml::{LabelId, LabelInterner};
 
 use crate::estimator::{EstimateOptions, Estimator};
 use crate::serialize::{crc32, ReadError, HEADER_LEN, MAGIC, VERSION};
 use crate::summary::{Lookup, Summary};
-use crate::{dag, next_generation, TreeLattice};
+use crate::{next_generation, resilient, TreeLattice};
 
 /// A source of pattern-count lookups keyed by canonical twig encoding —
 /// the minimal store interface the decomposition DAG evaluates against.
@@ -82,14 +85,6 @@ pub trait Catalog: PatternStore {
 
     /// Content version; equal values imply interchangeable summaries.
     fn generation(&self) -> u64;
-
-    /// Backend probes served so far, for backends that count them. The
-    /// in-memory backends return 0 (hash-map probes are not metered);
-    /// [`MmapCatalog`] reports its lookup counter, which the engine folds
-    /// into [`EngineStats::catalog_lookups`](crate::EngineStats).
-    fn served_lookups(&self) -> u64 {
-        0
-    }
 }
 
 impl Catalog for TreeLattice {
@@ -133,58 +128,6 @@ impl From<ReadError> for CatalogError {
 impl From<std::io::Error> for CatalogError {
     fn from(e: std::io::Error) -> Self {
         CatalogError::Io(e)
-    }
-}
-
-/// The eager file backend: reads the checksummed frame, validates it, and
-/// materializes the summary back into in-memory hash tables. Exactly
-/// [`TreeLattice::from_bytes`] with the I/O folded in — the baseline the
-/// mmap backend is measured against.
-pub struct FileCatalog {
-    lattice: TreeLattice,
-}
-
-impl FileCatalog {
-    /// Reads and deserializes `path`.
-    pub fn open(path: &Path) -> Result<Self, CatalogError> {
-        let bytes = std::fs::read(path)?;
-        Ok(Self {
-            lattice: TreeLattice::from_bytes(&bytes)?,
-        })
-    }
-
-    /// The deserialized lattice.
-    pub fn lattice(&self) -> &TreeLattice {
-        &self.lattice
-    }
-
-    /// Unwraps into the deserialized lattice.
-    pub fn into_lattice(self) -> TreeLattice {
-        self.lattice
-    }
-}
-
-impl PatternStore for FileCatalog {
-    #[inline]
-    fn lookup_bytes(&self, bytes: &[u8]) -> Lookup {
-        self.lattice.summary().lookup_bytes(bytes)
-    }
-
-    #[inline]
-    fn max_size(&self) -> usize {
-        self.lattice.summary().max_size()
-    }
-}
-
-impl Catalog for FileCatalog {
-    #[inline]
-    fn labels(&self) -> &LabelInterner {
-        self.lattice.labels()
-    }
-
-    #[inline]
-    fn generation(&self) -> u64 {
-        self.lattice.generation()
     }
 }
 
@@ -577,51 +520,18 @@ impl Catalog for MmapCatalog {
     fn generation(&self) -> u64 {
         self.generation
     }
-
-    #[inline]
-    fn served_lookups(&self) -> u64 {
-        self.lookups()
-    }
 }
 
 /// Engineless estimation against any catalog backend: the decomposition DAG
-/// with a per-call cache, plus the unknown-label guard every estimation
-/// entry point applies. Equivalent to [`TreeLattice::estimate_with`] when
-/// the catalog is a `TreeLattice`.
+/// on a per-call cache behind the unknown-label guard. What
+/// [`TreeLattice::estimate_with`] runs when the catalog is a `TreeLattice`.
 pub fn estimate_catalog<C: Catalog + ?Sized>(
     catalog: &C,
     twig: &Twig,
     estimator: Estimator,
     opts: &EstimateOptions,
 ) -> f64 {
-    if twig
-        .nodes()
-        .any(|n| twig.label(n).index() >= catalog.labels().len())
-    {
-        return 0.0;
-    }
-    let mut cache = dag::LocalIdCache::default();
-    dag::estimate_dag(catalog, twig, estimator, opts, &mut cache, None)
-        .expect(dag::UNBUDGETED)
-        .0
-}
-
-/// Parses a query against a catalog's label table and estimates it (new
-/// labels map to fresh ids, which estimate to zero) — the catalog-backend
-/// sibling of [`TreeLattice::estimate_query`].
-pub fn estimate_catalog_query<C: Catalog + ?Sized>(
-    catalog: &C,
-    query: &str,
-    estimator: Estimator,
-) -> Result<f64, TwigParseError> {
-    let mut scratch = catalog.labels().clone();
-    let twig = tl_twig::parse_twig(query, &mut scratch)?;
-    Ok(estimate_catalog(
-        catalog,
-        &twig,
-        estimator,
-        &EstimateOptions::default(),
-    ))
+    resilient::estimate_local(catalog, twig, estimator, opts, false).value
 }
 
 #[cfg(test)]
@@ -638,6 +548,12 @@ mod tests {
         )
         .unwrap();
         TreeLattice::build(&doc, &BuildConfig::with_k(3))
+    }
+
+    /// Parses `query` against `catalog`'s labels and estimates it.
+    fn estimate_query<C: Catalog + ?Sized>(catalog: &C, query: &str, est: Estimator) -> f64 {
+        let twig = tl_twig::parse_twig(query, &mut catalog.labels().clone()).unwrap();
+        estimate_catalog(catalog, &twig, est, &EstimateOptions::default())
     }
 
     fn write_lattice(lat: &TreeLattice, name: &str) -> std::path::PathBuf {
@@ -711,13 +627,13 @@ mod tests {
     fn estimates_agree_across_all_backends() {
         let lat = sample_lattice();
         let path = write_lattice(&lat, "backends.tlat");
-        let file = FileCatalog::open(&path).unwrap();
+        let file = TreeLattice::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         let mmap = MmapCatalog::open(&path).unwrap();
         for q in ["a", "a/b", "a[b][c]", "r/a/b", "d/a/c", "r[a[b]][d]"] {
             for est in Estimator::ALL {
                 let want = lat.estimate_query(q, est).unwrap();
-                let from_file = estimate_catalog_query(&file, q, est).unwrap();
-                let from_mmap = estimate_catalog_query(&mmap, q, est).unwrap();
+                let from_file = estimate_query(&file, q, est);
+                let from_mmap = estimate_query(&mmap, q, est);
                 assert_eq!(want.to_bits(), from_file.to_bits(), "{est} {q} (file)");
                 assert_eq!(want.to_bits(), from_mmap.to_bits(), "{est} {q} (mmap)");
             }
@@ -729,7 +645,7 @@ mod tests {
         let lat = sample_lattice();
         let path = write_lattice(&lat, "unknown.tlat");
         let mmap = MmapCatalog::open(&path).unwrap();
-        let v = estimate_catalog_query(&mmap, "nosuchtag/a", Estimator::Recursive).unwrap();
+        let v = estimate_query(&mmap, "nosuchtag/a", Estimator::Recursive);
         assert_eq!(v, 0.0);
     }
 
@@ -834,7 +750,7 @@ mod tests {
         let path = write_lattice(&lat, "observed.tlat");
         let rec = tl_obs::MetricsRecorder::new();
         let mmap = MmapCatalog::open_observed(&path, &rec).unwrap();
-        estimate_catalog_query(&mmap, "a/b", Estimator::Recursive).unwrap();
+        estimate_query(&mmap, "a/b", Estimator::Recursive);
         mmap.flush_lookups(&rec);
         let snap = rec.snapshot();
         assert_eq!(snap.counters[tl_obs::names::CATALOG_MMAP_OPENS], 1);

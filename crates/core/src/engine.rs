@@ -62,9 +62,11 @@ use tl_twig::{Twig, TwigId, TwigInterner};
 use tl_xml::FxHashMap;
 
 use crate::catalog::Catalog;
-use crate::dag::{estimate_dag, DagStats, IdCache, UNBUDGETED};
-use crate::resilient::{self, ResilientEstimate};
-use crate::{Degradation, EstimateOptions, Estimator, TreeLattice};
+use crate::dag::{DagStats, IdCache};
+use crate::resilient::{estimate_guarded, ResilientEstimate};
+#[cfg(doc)]
+use crate::TreeLattice;
+use crate::{EstimateOptions, Estimator};
 
 /// Construction knobs for [`EstimationEngine`].
 #[derive(Clone, Copy, Debug)]
@@ -116,10 +118,6 @@ pub struct EngineStats {
     /// counter staying flat across a repeat workload is the allocation-free
     /// lookup guarantee.
     pub key_clone_bytes: u64,
-    /// Pattern-store probes served by counting backends (the mmap catalog)
-    /// during `estimate_catalog` / `estimate_batch_catalog` calls on this
-    /// engine. In-memory backends are not metered and contribute 0.
-    pub catalog_lookups: u64,
 }
 
 impl EngineStats {
@@ -155,7 +153,7 @@ struct Shard {
     entries: FxHashMap<(u32, TwigId), f64>,
 }
 
-/// A persistent, thread-safe estimation service over [`TreeLattice`]s.
+/// A persistent, thread-safe estimation service over any [`Catalog`].
 ///
 /// ```
 /// use tl_xml::{parse_document, ParseOptions};
@@ -192,7 +190,6 @@ pub struct EstimationEngine {
     key_clone_bytes: AtomicU64,
     dag_nodes: AtomicU64,
     dag_refs: AtomicU64,
-    catalog_lookups: AtomicU64,
     last_batch_nanos: AtomicU64,
     /// Metric sink shared with batch worker threads; [`tl_obs::Noop`]
     /// unless [`EstimationEngine::with_recorder`] installed a live one.
@@ -236,52 +233,34 @@ impl EstimationEngine {
             key_clone_bytes: AtomicU64::new(0),
             dag_nodes: AtomicU64::new(0),
             dag_refs: AtomicU64::new(0),
-            catalog_lookups: AtomicU64::new(0),
             last_batch_nanos: AtomicU64::new(0),
             rec,
         }
     }
 
-    /// Estimates one query through the shared cache. Returns exactly what
-    /// [`TreeLattice::estimate_with`] returns for the same inputs.
-    pub fn estimate(
-        &self,
-        lattice: &TreeLattice,
-        twig: &Twig,
-        estimator: Estimator,
-        opts: &EstimateOptions,
-    ) -> f64 {
-        self.estimate_catalog(lattice, twig, estimator, opts)
-    }
-
-    /// [`estimate`](Self::estimate) against any [`Catalog`] backend — the
-    /// in-memory lattice, an eagerly loaded file, or the zero-copy mmap
-    /// reader — through the same shared cache. Generations keep backends
-    /// apart: every opened catalog carries a fresh one, so cached values
-    /// never leak between stores.
-    pub fn estimate_catalog<C: Catalog + ?Sized>(
+    /// Estimates one query through the shared cache against any [`Catalog`]
+    /// backend — the in-memory lattice or the zero-copy mmap reader. Returns
+    /// exactly what [`TreeLattice::estimate_with`] returns for the same
+    /// inputs. Generations keep backends apart: every opened catalog carries
+    /// a fresh one, so cached values never leak between stores.
+    pub fn estimate<C: Catalog + ?Sized>(
         &self,
         catalog: &C,
         twig: &Twig,
         estimator: Estimator,
         opts: &EstimateOptions,
     ) -> f64 {
-        let before = catalog.served_lookups();
         let mut cache =
             SharedIdCache::new(self, catalog.generation(), voting_class(estimator, opts));
-        let value = self.estimate_in(catalog, twig, estimator, opts, &mut cache);
-        drop(cache);
-        self.catalog_lookups.fetch_add(
-            catalog.served_lookups().saturating_sub(before),
-            Ordering::Relaxed,
-        );
-        value
+        self.estimate_in(catalog, twig, estimator, opts, &mut cache, false)
+            .value
     }
 
     /// One query against an existing cache adapter (whose `(generation,
-    /// voting class)` must match the arguments). Batch workers reuse one
-    /// adapter across all their queries so counters flush once per worker,
-    /// not once per query.
+    /// voting class)` must match the arguments): plain when `ladder` is
+    /// false, down the degradation ladder under `opts.budget` when true.
+    /// Batch workers reuse one adapter across all their queries so counters
+    /// flush once per worker, not once per query.
     fn estimate_in<C: Catalog + ?Sized>(
         &self,
         catalog: &C,
@@ -289,20 +268,16 @@ impl EstimationEngine {
         estimator: Estimator,
         opts: &EstimateOptions,
         cache: &mut SharedIdCache<'_>,
-    ) -> f64 {
-        // Same unknown-label guard as TreeLattice::estimate_with: a label
-        // the document never contained cannot match anything.
-        if twig
-            .nodes()
-            .any(|n| twig.label(n).index() >= catalog.labels().len())
-        {
-            return 0.0;
-        }
+        ladder: bool,
+    ) -> ResilientEstimate {
         let start = cache.recording.then(Instant::now);
-        let (value, depth, stats) =
-            estimate_dag(catalog, twig, estimator, opts, cache, None).expect(UNBUDGETED);
-        self.record_query(cache, start, Some((depth, stats)));
-        value
+        match estimate_guarded(catalog, twig, estimator, opts, cache, ladder) {
+            Some((est, dag)) => {
+                self.record_query(cache, start, dag);
+                est
+            }
+            None => ResilientEstimate::exact(0.0),
+        }
     }
 
     /// The per-query recording both the plain and the resilient paths
@@ -335,23 +310,12 @@ impl EstimationEngine {
     /// Estimates every twig in `batch`, in order, splitting the work over
     /// the configured worker threads. Workers pull indices from a shared
     /// atomic cursor, so an expensive query does not stall the others.
+    /// `Sync` because workers probe the store concurrently — every backend
+    /// qualifies (the mmap catalog's lookup counter is atomic).
     ///
     /// Results are bit-for-bit equal to calling
     /// [`TreeLattice::estimate_with`] per twig, regardless of thread count.
-    pub fn estimate_batch(
-        &self,
-        lattice: &TreeLattice,
-        batch: &[Twig],
-        estimator: Estimator,
-        opts: &EstimateOptions,
-    ) -> Vec<f64> {
-        self.estimate_batch_catalog(lattice, batch, estimator, opts)
-    }
-
-    /// [`estimate_batch`](Self::estimate_batch) against any [`Catalog`]
-    /// backend. `Sync` because workers probe the store concurrently — every
-    /// backend qualifies (the mmap catalog's lookup counter is atomic).
-    pub fn estimate_batch_catalog<C: Catalog + Sync + ?Sized>(
+    pub fn estimate_batch<C: Catalog + Sync + ?Sized>(
         &self,
         catalog: &C,
         batch: &[Twig],
@@ -360,7 +324,6 @@ impl EstimationEngine {
     ) -> Vec<f64> {
         let _span = tl_obs::SpanGuard::start(&*self.rec, tl_obs::names::SPAN_BATCH);
         let start = Instant::now();
-        let probes_before = catalog.served_lookups();
         let threads = self.effective_threads(batch.len());
         let generation = catalog.generation();
         let class = voting_class(estimator, opts);
@@ -368,7 +331,10 @@ impl EstimationEngine {
             let mut cache = SharedIdCache::new(self, generation, class);
             batch
                 .iter()
-                .map(|t| self.estimate_in(catalog, t, estimator, opts, &mut cache))
+                .map(|t| {
+                    self.estimate_in(catalog, t, estimator, opts, &mut cache, false)
+                        .value
+                })
                 .collect()
         } else {
             let slots: Vec<AtomicU64> = batch.iter().map(|_| AtomicU64::new(0)).collect();
@@ -380,7 +346,9 @@ impl EstimationEngine {
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(twig) = batch.get(i) else { break };
-                            let v = self.estimate_in(catalog, twig, estimator, opts, &mut cache);
+                            let v = self
+                                .estimate_in(catalog, twig, estimator, opts, &mut cache, false)
+                                .value;
                             slots[i].store(v.to_bits(), Ordering::Relaxed);
                         }
                     });
@@ -391,10 +359,6 @@ impl EstimationEngine {
                 .map(|bits| f64::from_bits(bits.into_inner()))
                 .collect()
         };
-        self.catalog_lookups.fetch_add(
-            catalog.served_lookups().saturating_sub(probes_before),
-            Ordering::Relaxed,
-        );
         self.last_batch_nanos
             .store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         results
@@ -403,14 +367,16 @@ impl EstimationEngine {
     /// Estimates one query through the shared cache under the budget in
     /// `opts`, degrading instead of erroring (see [`crate::resilient`]),
     /// and containing any panic in the estimation path as
-    /// [`tl_fault::FaultKind::WorkerPanic`].
+    /// [`tl_fault::FaultKind::WorkerPanic`]. Any [`Catalog`] backend runs
+    /// the same ladder.
     ///
-    /// Only the undegraded rung reads and writes the shared cache —
-    /// degraded values stay in a query-local cache, so a budget-constrained
-    /// caller can never pollute estimates served to unconstrained ones.
-    pub fn estimate_resilient(
+    /// Rung 1 runs on the DAG through the shared cache with the budget
+    /// enforced; degraded rungs use per-query caches and never touch the
+    /// shards, so a budget-constrained caller can never pollute estimates
+    /// served to unconstrained ones.
+    pub fn estimate_resilient<C: Catalog + ?Sized>(
         &self,
-        lattice: &TreeLattice,
+        catalog: &C,
         twig: &Twig,
         estimator: Estimator,
         opts: &EstimateOptions,
@@ -422,7 +388,9 @@ impl EstimationEngine {
                     failpoints::sites::ENGINE_WORKER
                 );
             }
-            self.estimate_resilient_inner(lattice, twig, estimator, opts)
+            let mut cache =
+                SharedIdCache::new(self, catalog.generation(), voting_class(estimator, opts));
+            self.estimate_in(catalog, twig, estimator, opts, &mut cache, true)
         }));
         match outcome {
             Ok(est) => {
@@ -444,46 +412,6 @@ impl EstimationEngine {
         }
     }
 
-    fn estimate_resilient_inner(
-        &self,
-        lattice: &TreeLattice,
-        twig: &Twig,
-        estimator: Estimator,
-        opts: &EstimateOptions,
-    ) -> ResilientEstimate {
-        if twig
-            .nodes()
-            .any(|n| twig.label(n).index() >= lattice.labels().len())
-        {
-            return ResilientEstimate {
-                value: 0.0,
-                degradation: Degradation::None,
-                cause: None,
-            };
-        }
-        // Rung 1 runs on the DAG through the shared id cache, exactly like
-        // `estimate_in` but with the budget enforced; degraded rungs use
-        // per-query caches and never touch the shards.
-        let mut cache =
-            SharedIdCache::new(self, lattice.generation(), voting_class(estimator, opts));
-        let start = cache.recording.then(Instant::now);
-        let mut dag = None;
-        let est = resilient::estimate_resilient(lattice, twig, opts, || {
-            let (value, depth, stats) = estimate_dag(
-                lattice,
-                twig,
-                estimator,
-                opts,
-                &mut cache,
-                Some(opts.budget),
-            )?;
-            dag = Some((depth, stats));
-            Ok(value)
-        });
-        self.record_query(&mut cache, start, dag);
-        est
-    }
-
     /// [`estimate_batch`](EstimationEngine::estimate_batch) with per-query
     /// fault isolation: each worker item runs under `catch_unwind`, so one
     /// poisoned query comes back as `Err(FaultKind::WorkerPanic)` while
@@ -491,9 +419,9 @@ impl EstimationEngine {
     /// `parking_lot` (no poisoning) and the shared cache only ever holds
     /// fully-computed undegraded values, so a contained panic cannot leave
     /// the cache inconsistent.
-    pub fn estimate_batch_resilient(
+    pub fn estimate_batch_resilient<C: Catalog + Sync + ?Sized>(
         &self,
-        lattice: &TreeLattice,
+        catalog: &C,
         batch: &[Twig],
         estimator: Estimator,
         opts: &EstimateOptions,
@@ -504,7 +432,7 @@ impl EstimationEngine {
         let results: Vec<Result<ResilientEstimate, Fault>> = if threads <= 1 {
             batch
                 .iter()
-                .map(|t| self.estimate_resilient(lattice, t, estimator, opts))
+                .map(|t| self.estimate_resilient(catalog, t, estimator, opts))
                 .collect()
         } else {
             let cursor = AtomicUsize::new(0);
@@ -518,7 +446,7 @@ impl EstimationEngine {
                                 let Some(twig) = batch.get(i) else { break };
                                 local.push((
                                     i,
-                                    self.estimate_resilient(lattice, twig, estimator, opts),
+                                    self.estimate_resilient(catalog, twig, estimator, opts),
                                 ));
                             }
                             local
@@ -574,7 +502,6 @@ impl EstimationEngine {
             dag_nodes: self.dag_nodes.load(Ordering::Relaxed),
             dag_refs: self.dag_refs.load(Ordering::Relaxed),
             key_clone_bytes: self.key_clone_bytes.load(Ordering::Relaxed),
-            catalog_lookups: self.catalog_lookups.load(Ordering::Relaxed),
         }
     }
 
@@ -734,7 +661,7 @@ mod tests {
     use tl_xml::{parse_document, Document, ParseOptions};
 
     use super::*;
-    use crate::BuildConfig;
+    use crate::{BuildConfig, Degradation, TreeLattice};
 
     fn doc(s: &str) -> Document {
         parse_document(s.as_bytes(), ParseOptions::default()).unwrap()
@@ -795,7 +722,7 @@ mod tests {
         for est in Estimator::ALL {
             let opts = EstimateOptions::default();
             let mem = engine.estimate_batch(&lat, &batch, est, &opts);
-            let via_mmap = engine.estimate_batch_catalog(&mmap, &batch, est, &opts);
+            let via_mmap = engine.estimate_batch(&mmap, &batch, est, &opts);
             for (q, (a, b)) in queries.iter().zip(mem.iter().zip(&via_mmap)) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{est} {q}");
             }

@@ -87,9 +87,11 @@ pub struct EstimateOptions {
     pub voting_cap: usize,
     /// Resource limits consulted by the resilient entry points
     /// ([`crate::TreeLattice::estimate_resilient`],
-    /// [`crate::EstimationEngine::estimate_batch_resilient`]). The plain
-    /// infallible APIs ignore it entirely, so the default (unlimited)
-    /// budget costs nothing there.
+    /// [`crate::EstimationEngine::estimate_resilient`] and its batch
+    /// form), which run the degradation ladder the same way on every
+    /// [`crate::Catalog`] backend — the in-memory lattice and the mmap
+    /// frame alike. The plain infallible APIs ignore it entirely, so the
+    /// default (unlimited) budget costs nothing there.
     pub budget: Budget,
 }
 

@@ -43,8 +43,8 @@
 //! * [`mod@explain`] — human-readable decomposition traces (EXPLAIN for the
 //!   estimator);
 //! * [`serialize`] — versioned binary persistence of summaries;
-//! * [`catalog`] — swappable pattern-store backends: in-memory, eager file
-//!   load, and a zero-copy mmap reader serving lookups from frame bytes;
+//! * [`catalog`] — swappable pattern-store backends: the in-memory lattice
+//!   and a zero-copy mmap reader serving lookups from frame bytes;
 //! * [`trie`] — a prefix-tree summary store kept for the §4.2 ablation.
 
 pub mod catalog;
@@ -66,17 +66,14 @@ use tl_twig::canonical::KeyEncoder;
 use tl_twig::{parse_twig, Twig, TwigKey, TwigParseError};
 use tl_xml::{DocIndex, Document, FxHashMap, LabelId, LabelInterner};
 
-pub use catalog::{
-    estimate_catalog, estimate_catalog_query, Catalog, CatalogError, FileCatalog, MmapCatalog,
-    PatternStore,
-};
+pub use catalog::{estimate_catalog, Catalog, CatalogError, MmapCatalog, PatternStore};
 pub use engine::{EngineConfig, EngineStats, EstimationEngine};
 pub use estimator::{estimate, estimate_fixed_at, EstimateOptions, Estimator};
 pub use explain::explain;
 pub use interval::{estimate_interval, IntervalEstimate};
 pub use online::{TunedLattice, TunerStats};
 pub use pruning::{prune_derivable, PruneReport};
-pub use resilient::{markov_estimate, markov_estimate_store, ResilientEstimate};
+pub use resilient::{markov_estimate, ResilientEstimate};
 pub use serialize::ReadError;
 pub use summary::{Lookup, Summary};
 pub use wal::{
@@ -323,47 +320,7 @@ impl TreeLattice {
 
     /// Estimates the selectivity of a twig with explicit options.
     pub fn estimate_with(&self, twig: &Twig, estimator: Estimator, opts: &EstimateOptions) -> f64 {
-        // A label the document never contained cannot match anything.
-        if twig
-            .nodes()
-            .any(|n| twig.label(n).index() >= self.labels.len())
-        {
-            return 0.0;
-        }
-        estimate(&self.summary, twig, estimator, opts)
-    }
-
-    /// [`estimate_with`](TreeLattice::estimate_with), reporting per-query
-    /// metrics to `rec`: `engine.queries`, `engine.query.latency_us`, and
-    /// `engine.decomposition.depth` (the same names the shared-cache engine
-    /// uses, so one snapshot covers both paths).
-    pub fn estimate_with_observed(
-        &self,
-        twig: &Twig,
-        estimator: Estimator,
-        opts: &EstimateOptions,
-        rec: &dyn tl_obs::Recorder,
-    ) -> f64 {
-        if twig
-            .nodes()
-            .any(|n| twig.label(n).index() >= self.labels.len())
-        {
-            return 0.0;
-        }
-        let start = rec.enabled().then(std::time::Instant::now);
-        let mut cache = dag::LocalIdCache::default();
-        let (value, depth, _stats) =
-            dag::estimate_dag(&self.summary, twig, estimator, opts, &mut cache, None)
-                .expect(dag::UNBUDGETED);
-        if let Some(start) = start {
-            rec.add(tl_obs::names::ENGINE_QUERIES, 1);
-            rec.observe(
-                tl_obs::names::QUERY_LATENCY_US,
-                start.elapsed().as_micros() as u64,
-            );
-            rec.observe(tl_obs::names::DECOMP_DEPTH, depth as u64);
-        }
-        value
+        estimate_catalog(self, twig, estimator, opts)
     }
 
     /// Estimates a twig under the budget in `opts`, degrading instead of
@@ -376,28 +333,7 @@ impl TreeLattice {
         estimator: Estimator,
         opts: &EstimateOptions,
     ) -> ResilientEstimate {
-        if twig
-            .nodes()
-            .any(|n| twig.label(n).index() >= self.labels.len())
-        {
-            return ResilientEstimate {
-                value: 0.0,
-                degradation: Degradation::None,
-                cause: None,
-            };
-        }
-        let mut cache = dag::LocalIdCache::default();
-        resilient::estimate_resilient(&self.summary, twig, opts, || {
-            dag::estimate_dag(
-                &self.summary,
-                twig,
-                estimator,
-                opts,
-                &mut cache,
-                Some(opts.budget),
-            )
-            .map(|(value, ..)| value)
-        })
+        resilient::estimate_local(self, twig, estimator, opts, true)
     }
 
     /// Parses a query in the twig surface syntax and estimates it.
@@ -611,12 +547,13 @@ mod tests {
         let d = doc(&s);
         let index = DocIndex::new(&d);
         let cfg = BuildConfig::with_k(3);
-        let rec = tl_obs::MetricsRecorder::new();
-        let observed = TreeLattice::build_with_index_observed(&d, &index, &cfg, &rec);
+        let rec = std::sync::Arc::new(tl_obs::MetricsRecorder::new());
+        let observed = TreeLattice::build_with_index_observed(&d, &index, &cfg, rec.as_ref());
         let plain = TreeLattice::build_with_index(&d, &index, &cfg);
         let q = observed.parse_query("a[b[c][d]][e]").unwrap();
         let opts = EstimateOptions::default();
-        let v = observed.estimate_with_observed(&q, Estimator::Recursive, &opts, &rec);
+        let engine = EstimationEngine::with_recorder(EngineConfig::default(), rec.clone());
+        let v = engine.estimate(&observed, &q, Estimator::Recursive, &opts);
         assert_eq!(
             v.to_bits(),
             plain.estimate(&q, Estimator::Recursive).to_bits()

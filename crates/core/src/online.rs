@@ -123,34 +123,10 @@ impl TunedLattice {
         self.online_bytes
     }
 
-    /// Estimates a twig (identical to the plain lattice estimate, but
-    /// benefits from online-inserted patterns).
-    pub fn estimate(&self, twig: &Twig, estimator: Estimator) -> f64 {
-        self.lattice.estimate(twig, estimator)
-    }
-
-    /// Estimates with explicit options.
-    pub fn estimate_with(&self, twig: &Twig, estimator: Estimator, opts: &EstimateOptions) -> f64 {
-        self.lattice.estimate_with(twig, estimator, opts)
-    }
-
-    /// Estimates through a shared [`crate::engine::EstimationEngine`].
-    ///
-    /// Safe to combine with feedback: [`TunedLattice::observe`] replaces the
-    /// summary via [`TreeLattice::set_summary`], which assigns a fresh
-    /// generation, so sub-twig estimates the engine cached before the
-    /// observation can never be served afterwards.
-    pub fn estimate_engine(
-        &self,
-        engine: &crate::engine::EstimationEngine,
-        twig: &Twig,
-        estimator: Estimator,
-        opts: &EstimateOptions,
-    ) -> f64 {
-        engine.estimate(&self.lattice, twig, estimator, opts)
-    }
-
-    /// Feeds back the true selectivity of an executed query.
+    /// Feeds back the true selectivity of an executed query. The summary is
+    /// replaced via [`TreeLattice::set_summary`], which assigns a fresh
+    /// generation, so an [`EstimationEngine`](crate::EstimationEngine)
+    /// never serves sub-twig estimates it cached before the observation.
     pub fn observe(&mut self, twig: &Twig, true_count: u64) {
         self.stats.observed += 1;
         self.clock += 1;
@@ -206,20 +182,6 @@ impl TunedLattice {
         }
         self.lattice.set_summary(summary);
     }
-
-    /// Convenience: estimate, and if the caller already knows the truth
-    /// (e.g. the query was executed anyway), feed it back; returns the
-    /// pre-feedback estimate.
-    pub fn estimate_and_learn(
-        &mut self,
-        twig: &Twig,
-        estimator: Estimator,
-        true_count: u64,
-    ) -> f64 {
-        let est = self.estimate(twig, estimator);
-        self.observe(twig, true_count);
-        est
-    }
 }
 
 /// Re-derivation error of a stored pattern if it were removed — exposed
@@ -269,10 +231,13 @@ mod tests {
         let q = tuned.lattice().parse_query("a[b][c]").unwrap();
         let truth = tl_twig::count_matches(&doc, &q);
         assert_eq!(truth, 8);
-        let before = tuned.estimate(&q, Estimator::Recursive);
+        let before = tuned.lattice().estimate(&q, Estimator::Recursive);
         assert_ne!(before, truth as f64, "correlated pattern is mis-estimated");
         tuned.observe(&q, truth);
-        assert_eq!(tuned.estimate(&q, Estimator::Recursive), truth as f64);
+        assert_eq!(
+            tuned.lattice().estimate(&q, Estimator::Recursive),
+            truth as f64
+        );
         assert_eq!(tuned.stats().inserted, 1);
     }
 
@@ -283,9 +248,9 @@ mod tests {
         let sub = tuned.lattice().parse_query("a[b][c]").unwrap();
         let sup = tuned.lattice().parse_query("r/a[b][c]").unwrap();
         let truth_sup = tl_twig::count_matches(&doc, &sup) as f64;
-        let err_before = (tuned.estimate(&sup, Estimator::Recursive) - truth_sup).abs();
+        let err_before = (tuned.lattice().estimate(&sup, Estimator::Recursive) - truth_sup).abs();
         tuned.observe(&sub, tl_twig::count_matches(&doc, &sub));
-        let err_after = (tuned.estimate(&sup, Estimator::Recursive) - truth_sup).abs();
+        let err_after = (tuned.lattice().estimate(&sup, Estimator::Recursive) - truth_sup).abs();
         assert!(
             err_after <= err_before,
             "feedback must not hurt super-queries: {err_before} -> {err_after}"
@@ -300,7 +265,7 @@ mod tests {
         // mined k=2 so the estimator would otherwise derive a value.
         let q = tuned.lattice().parse_query("a[b][b]").unwrap();
         tuned.observe(&q, 0);
-        assert_eq!(tuned.estimate(&q, Estimator::Recursive), 0.0);
+        assert_eq!(tuned.lattice().estimate(&q, Estimator::Recursive), 0.0);
     }
 
     #[test]
@@ -325,7 +290,7 @@ mod tests {
         assert!(tuned.stats().evicted > 0);
         // The hot pattern survived.
         assert_eq!(
-            tuned.estimate(&twigs[0], Estimator::Recursive),
+            tuned.lattice().estimate(&twigs[0], Estimator::Recursive),
             truth0 as f64
         );
     }
@@ -350,25 +315,13 @@ mod tests {
         let q = tuned.lattice().parse_query("a[b][c]").unwrap();
         let truth = tl_twig::count_matches(&doc, &q);
         // Warm the engine cache with the pre-feedback (wrong) estimate.
-        let before = tuned.estimate_engine(&engine, &q, Estimator::Recursive, &opts);
+        let before = engine.estimate(tuned.lattice(), &q, Estimator::Recursive, &opts);
         assert_ne!(before, truth as f64);
         tuned.observe(&q, truth);
         // The observation bumped the generation: the engine must now answer
         // from the corrected summary, not its cache.
-        let after = tuned.estimate_engine(&engine, &q, Estimator::Recursive, &opts);
+        let after = engine.estimate(tuned.lattice(), &q, Estimator::Recursive, &opts);
         assert_eq!(after, truth as f64);
-    }
-
-    #[test]
-    fn estimate_and_learn_returns_pre_feedback_value() {
-        let (doc, lattice) = setup();
-        let mut tuned = TunedLattice::new(lattice, 4096);
-        let q = tuned.lattice().parse_query("a[b][c]").unwrap();
-        let truth = tl_twig::count_matches(&doc, &q);
-        let first = tuned.estimate_and_learn(&q, Estimator::Recursive, truth);
-        assert_ne!(first, truth as f64);
-        let second = tuned.estimate_and_learn(&q, Estimator::Recursive, truth);
-        assert_eq!(second, truth as f64);
     }
 
     #[test]

@@ -30,10 +30,12 @@ use tl_fault::{Degradation, Fault};
 use tl_twig::canonical::key_of;
 use tl_twig::{Twig, TwigKey};
 
-use crate::catalog::PatternStore;
-use crate::dag::estimate_fixed_at_dag;
-use crate::estimator::EstimateOptions;
-use crate::summary::{Lookup, Summary};
+use crate::catalog::{Catalog, PatternStore};
+use crate::dag::{
+    estimate_dag, estimate_fixed_at_dag, DagStats, IdCache, LocalIdCache, UNBUDGETED,
+};
+use crate::estimator::{EstimateOptions, Estimator};
+use crate::summary::Lookup;
 
 /// A selectivity estimate that always exists, tagged with how it was
 /// obtained.
@@ -58,11 +60,60 @@ impl ResilientEstimate {
     }
 }
 
+/// The one estimation path behind every entry point — plain or laddered,
+/// engine or engineless, any [`Catalog`] backend. A twig naming a label the
+/// summary never saw cannot match anything: that guard answers `None`
+/// (zero, and no query to record) before any DAG is built. Otherwise the DAG
+/// runs through `cache` — plain and infallible when `ladder` is false, under
+/// `opts.budget` down the degradation ladder when true — and the result
+/// carries rung 1's `(depth, size)` when rung 1 completed.
+pub(crate) fn estimate_guarded<C: Catalog + ?Sized, K: IdCache>(
+    catalog: &C,
+    twig: &Twig,
+    estimator: Estimator,
+    opts: &EstimateOptions,
+    cache: &mut K,
+    ladder: bool,
+) -> Option<(ResilientEstimate, Option<(usize, DagStats)>)> {
+    if twig
+        .nodes()
+        .any(|n| twig.label(n).index() >= catalog.labels().len())
+    {
+        return None;
+    }
+    let budget = ladder.then_some(opts.budget);
+    let mut dag = None;
+    let mut rung1 = || {
+        let (value, depth, stats) = estimate_dag(catalog, twig, estimator, opts, cache, budget)?;
+        dag = Some((depth, stats));
+        Ok(value)
+    };
+    let est = if ladder {
+        estimate_resilient(catalog, twig, opts, rung1)
+    } else {
+        ResilientEstimate::exact(rung1().expect(UNBUDGETED))
+    };
+    Some((est, dag))
+}
+
+/// [`estimate_guarded`] on a throwaway per-query cache: the engineless path.
+pub(crate) fn estimate_local<C: Catalog + ?Sized>(
+    catalog: &C,
+    twig: &Twig,
+    estimator: Estimator,
+    opts: &EstimateOptions,
+    ladder: bool,
+) -> ResilientEstimate {
+    let mut cache = LocalIdCache::default();
+    estimate_guarded(catalog, twig, estimator, opts, &mut cache, ladder)
+        .map_or(ResilientEstimate::exact(0.0), |(est, _)| est)
+}
+
 /// Runs the degradation ladder over `store`. `rung1` runs the requested
 /// estimator under `opts.budget` through whatever cache the caller owns;
 /// it is skipped when `max_k` forbids the sub-twig sizes the query needs.
 /// Total: every path returns an estimate.
-pub(crate) fn estimate_resilient<S: PatternStore + ?Sized>(
+fn estimate_resilient<S: PatternStore + ?Sized>(
     store: &S,
     twig: &Twig,
     opts: &EstimateOptions,
@@ -103,29 +154,22 @@ pub(crate) fn estimate_resilient<S: PatternStore + ?Sized>(
 
     // Rung 3: the closed-form Markov product; never fails.
     ResilientEstimate {
-        value: markov_estimate_store(store, twig),
+        value: markov_estimate(store, twig),
         degradation: Degradation::Markov,
         cause,
     }
 }
 
 /// First-order Markov (path-independence) estimate from levels 1–2:
-/// `s(root) · Π_{edges (u,v)} s(u/v) / s(u)`.
+/// `s(root) · Π_{edges (u,v)} s(u/v) / s(u)`, against any [`PatternStore`].
 ///
 /// Public because it is rung 3 of the ladder: a [`Degradation::Markov`]
 /// result must be bit-for-bit reproducible by calling this directly, and
-/// the test suite asserts exactly that.
-pub fn markov_estimate(summary: &Summary, twig: &Twig) -> f64 {
-    markov_estimate_store(summary, twig)
-}
-
-/// [`markov_estimate`] against any [`PatternStore`] backend.
-///
-/// The closed form only touches levels 1–2, which every backend serves by
-/// key bytes, so the server can answer overload sheds with the same rung-3
-/// value whether its summary is in memory, file-loaded, or mmapped —
-/// bit-for-bit equal across backends by the store-identity contract.
-pub fn markov_estimate_store<S: PatternStore + ?Sized>(store: &S, twig: &Twig) -> f64 {
+/// the test suite asserts exactly that. The closed form only touches levels
+/// 1–2, which every backend serves by key bytes, so the server answers
+/// overload sheds with the same value whether its summary is in memory or
+/// mmapped.
+pub fn markov_estimate<S: PatternStore + ?Sized>(store: &S, twig: &Twig) -> f64 {
     let count = |key: &TwigKey| -> f64 {
         match store.lookup_bytes(key.as_bytes()) {
             Lookup::Exact(c) => c as f64,

@@ -94,6 +94,12 @@ pub const SERVER_SOCKOPT_ERRORS: &str = "server.sockopt_errors";
 /// Connections closed by the server's idle deadline (`--idle-timeout-ms`):
 /// half-open or slow-loris peers shed deterministically.
 pub const SERVER_IDLE_CLOSED: &str = "server.conn.idle_closed";
+/// Gauge (durable backend): sequence number of the last WAL record,
+/// sampled at each scrape — the acked prefix recovery must reproduce.
+pub const SERVER_WAL_LAST_SEQ: &str = "server.wal.last_seq";
+/// Gauge (durable backend): the WAL sequence number the newest published
+/// snapshot covers, sampled at each scrape.
+pub const SERVER_SNAPSHOT_SEQ: &str = "server.snapshot.seq";
 
 /// The per-tenant latency histogram name for `tenant`.
 pub fn server_tenant_latency(tenant: &str) -> String {

@@ -4,7 +4,10 @@
 //! mmap [`treelattice::MmapCatalog`]) at startup and serves `estimate`,
 //! `estimate-batch`, `truth`, and `update` requests over a
 //! length-prefixed, checksummed binary protocol on a TCP socket
-//! ([`protocol`], "tl-wire/1").
+//! ([`protocol`], "tl-wire/1"). Both backends answer estimates through the
+//! same [`treelattice::EstimationEngine::estimate_resilient`] call: one
+//! shared sub-twig cache, and the tenant's budget enforced down the same
+//! degradation ladder.
 //!
 //! Multi-tenancy is first-class: each tenant gets a weighted fair-queue
 //! lane with an admission cap and a [`tl_fault::Budget`] template
@@ -19,7 +22,8 @@
 //! Observability rides the tl-metrics/1 snapshot: a `scrape` request
 //! (which bypasses the queue) returns the full recorder snapshot
 //! including the `server.*` counters, queue-depth gauge, and overall plus
-//! per-tenant latency histograms.
+//! per-tenant latency histograms. On the mmap backend each scrape also
+//! drains the catalog's probe count into `catalog.mmap.lookups`.
 
 pub mod client;
 pub mod protocol;

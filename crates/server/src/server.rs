@@ -10,7 +10,7 @@
 //! 2. The request is admitted into its tenant's fair-queue lane. If the
 //!    lane is full (or the server is draining), the request is **shed**:
 //!    the connection thread answers immediately with the closed-form
-//!    Markov estimate ([`treelattice::markov_estimate_store`]) tagged
+//!    Markov estimate ([`treelattice::markov_estimate`]) tagged
 //!    [`Degradation::Markov`] and a cause fault naming the refusal — the
 //!    [`treelattice::ResilientEstimate`] contract, so overload is never
 //!    an untyped error and never silence.
@@ -18,6 +18,10 @@
 //!    estimator under the tenant's [`Budget`] (deadline measured from
 //!    admission, so queue wait counts against it). Budget trips degrade
 //!    down the ladder inside the engine; the response carries the rung.
+//!    Both backends — the in-memory lattice and the read-only mmap catalog
+//!    — answer through the same [`EstimationEngine::estimate_resilient`]
+//!    call, so mmap tenants get the same budgets, degradation tags and
+//!    shared sub-twig cache as memory tenants.
 //!
 //! `scrape` bypasses the queue entirely: observability must work *best*
 //! exactly when the server is overloaded.
@@ -36,7 +40,7 @@ use tl_obs::{names, MetricsRecorder, Recorder};
 use tl_twig::canonical::key_of;
 use tl_twig::{parse_twig, Twig};
 use treelattice::{
-    markov_estimate_store, Catalog, DurabilityPolicy, DurableLattice, DurableOptions, EngineConfig,
+    markov_estimate, Catalog, DurabilityPolicy, DurableLattice, DurableOptions, EngineConfig,
     EstimateOptions, EstimationEngine, Estimator, Lookup, MmapCatalog, PatternStore,
     ResilientEstimate, TreeLattice, TunedLattice,
 };
@@ -95,8 +99,8 @@ pub struct ServerConfig {
     pub summary_path: PathBuf,
     /// Serve from the zero-copy mmap catalog instead of deserializing
     /// into memory. Read-only: `update` requests are refused as usage
-    /// errors, and rung-1 estimates run unbudgeted (catalog parity with
-    /// the CLI's `--mmap` contract); sheds still degrade to Markov.
+    /// errors. Estimates run the same engine and degradation ladder as the
+    /// memory backend, under the same tenant budgets.
     pub mmap: bool,
     /// Port to bind on 127.0.0.1; `0` asks the OS for an ephemeral port
     /// (read it back from [`ServerHandle::addr`] or `--port-file`).
@@ -166,7 +170,6 @@ enum Backend {
     Memory {
         // Boxed so the enum stays near the size of its mmap variant.
         store: Box<RwLock<Store>>,
-        engine: EstimationEngine,
     },
     Mmap {
         catalog: MmapCatalog,
@@ -179,59 +182,41 @@ impl Backend {
     /// the store-identity contract.
     fn markov(&self, twig: &Twig) -> f64 {
         match self {
-            Backend::Memory { store, .. } => {
-                markov_estimate_store(store.read().tuned().lattice(), twig)
-            }
-            Backend::Mmap { catalog } => markov_estimate_store(catalog, twig),
+            Backend::Memory { store } => markov_estimate(store.read().tuned().lattice(), twig),
+            Backend::Mmap { catalog } => markov_estimate(catalog, twig),
         }
     }
 
     fn labels(&self) -> tl_xml::LabelInterner {
         match self {
-            Backend::Memory { store, .. } => store.read().tuned().lattice().labels().clone(),
+            Backend::Memory { store } => store.read().tuned().lattice().labels().clone(),
             Backend::Mmap { catalog } => catalog.labels().clone(),
         }
     }
 
-    fn estimate(&self, twig: &Twig, estimator: Estimator, budget: Budget) -> Response {
+    fn estimate(
+        &self,
+        engine: &EstimationEngine,
+        twig: &Twig,
+        estimator: Estimator,
+        budget: Budget,
+    ) -> Response {
         match self {
-            Backend::Memory { store, engine } => {
-                let opts = EstimateOptions {
-                    budget,
-                    ..EstimateOptions::default()
-                };
-                let guard = store.read();
-                match engine.estimate_resilient(guard.tuned().lattice(), twig, estimator, &opts) {
-                    Ok(est) => Response::Estimate(wire(est)),
-                    Err(fault) => Response::fault(fault),
-                }
-            }
-            Backend::Mmap { catalog } => {
-                // Catalog parity with the CLI: rung 1 runs unbudgeted,
-                // but an already-expired deadline (queue wait ate it)
-                // still degrades instead of burning worker time.
-                if let Err(cause) = budget.check_deadline() {
-                    return Response::Estimate(WireEstimate {
-                        value: markov_estimate_store(catalog, twig),
-                        degradation: Degradation::Markov,
-                        cause: Some(cause),
-                    });
-                }
-                let value = treelattice::estimate_catalog(
-                    catalog,
-                    twig,
-                    estimator,
-                    &EstimateOptions::default(),
-                );
-                Response::Estimate(WireEstimate::exact(value))
-            }
+            Backend::Memory { store } => answer(
+                engine,
+                store.read().tuned().lattice(),
+                twig,
+                estimator,
+                budget,
+            ),
+            Backend::Mmap { catalog } => answer(engine, catalog, twig, estimator, budget),
         }
     }
 
     fn truth(&self, twig: &Twig) -> Response {
         let key = key_of(twig);
         let stored = match self {
-            Backend::Memory { store, .. } => store.read().tuned().lattice().summary().stored(&key),
+            Backend::Memory { store } => store.read().tuned().lattice().summary().stored(&key),
             Backend::Mmap { catalog } => match catalog.lookup_bytes(key.as_bytes()) {
                 Lookup::Exact(c) => Some(c),
                 Lookup::Derivable | Lookup::TooLarge => None,
@@ -242,7 +227,7 @@ impl Backend {
 
     fn update(&self, twig: &Twig, true_count: u64, idem: u64, rec: &dyn Recorder) -> Response {
         match self {
-            Backend::Memory { store, .. } => {
+            Backend::Memory { store } => {
                 let mut guard = store.write();
                 match &mut *guard {
                     Store::Plain(tuned) => {
@@ -266,6 +251,25 @@ impl Backend {
                 "update is not supported on the read-only --mmap backend",
             )),
         }
+    }
+}
+
+/// One estimate through the engine's degradation ladder under `budget`, on
+/// whichever catalog backs the server (monomorphized per backend).
+fn answer<C: Catalog + ?Sized>(
+    engine: &EstimationEngine,
+    catalog: &C,
+    twig: &Twig,
+    estimator: Estimator,
+    budget: Budget,
+) -> Response {
+    let opts = EstimateOptions {
+        budget,
+        ..EstimateOptions::default()
+    };
+    match engine.estimate_resilient(catalog, twig, estimator, &opts) {
+        Ok(est) => Response::Estimate(wire(est)),
+        Err(fault) => Response::fault(fault),
     }
 }
 
@@ -306,6 +310,7 @@ struct Job {
 
 struct Shared {
     backend: Backend,
+    engine: EstimationEngine,
     queue: FairQueue<Job>,
     budgets: Vec<BudgetSpec>,
     rec: Arc<MetricsRecorder>,
@@ -365,13 +370,16 @@ impl Shared {
             self.rec.add(names::SERVER_ACCEPTED, 1);
             self.rec
                 .gauge(names::SERVER_QUEUE_DEPTH, self.queue.depth() as f64);
-            if let Backend::Memory { store, .. } = &self.backend {
-                if let Store::Durable(durable) = &*store.read() {
-                    self.rec
-                        .gauge("server.wal.last_seq", durable.last_seq() as f64);
-                    self.rec
-                        .gauge("server.snapshot.seq", durable.snapshot_seq() as f64);
+            match &self.backend {
+                Backend::Memory { store } => {
+                    if let Store::Durable(durable) = &*store.read() {
+                        self.rec
+                            .gauge(names::SERVER_WAL_LAST_SEQ, durable.last_seq() as f64);
+                        self.rec
+                            .gauge(names::SERVER_SNAPSHOT_SEQ, durable.snapshot_seq() as f64);
+                    }
                 }
+                Backend::Mmap { catalog } => catalog.flush_lookups(self.rec.as_ref()),
             }
             return Response::Scrape {
                 json: self.rec.snapshot().to_json(),
@@ -454,15 +462,20 @@ impl Shared {
 
     fn run_work(&self, work: &Work, budget: Budget) -> Response {
         match work {
-            Work::Estimate { twig, estimator } => self.backend.estimate(twig, *estimator, budget),
+            Work::Estimate { twig, estimator } => {
+                self.backend
+                    .estimate(&self.engine, twig, *estimator, budget)
+            }
             Work::Batch { twigs, estimator } => Response::Batch(
                 twigs
                     .iter()
-                    .map(|t| match self.backend.estimate(t, *estimator, budget) {
-                        Response::Estimate(e) => Ok(e),
-                        Response::Error { fault, .. } => Err(fault),
-                        _ => unreachable!("estimate returns estimate or error"),
-                    })
+                    .map(
+                        |t| match self.backend.estimate(&self.engine, t, *estimator, budget) {
+                            Response::Estimate(e) => Ok(e),
+                            Response::Error { fault, .. } => Err(fault),
+                            _ => unreachable!("estimate returns estimate or error"),
+                        },
+                    )
                     .collect(),
             ),
             Work::Truth { twig } => self.backend.truth(twig),
@@ -555,7 +568,7 @@ impl ServerHandle {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        if let Backend::Memory { store, .. } = &self.shared.backend {
+        if let Backend::Memory { store } = &self.shared.backend {
             if let Store::Durable(durable) = &mut *store.write() {
                 durable.drain(self.shared.rec.as_ref())?;
             }
@@ -592,7 +605,6 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, Fault> {
         let lattice = TreeLattice::from_bytes(&bytes).map_err(|e| {
             Fault::corrupt_summary(format!("{}: {e}", config.summary_path.display()))
         })?;
-        let engine = EstimationEngine::with_recorder(EngineConfig::default(), rec.clone());
         let store = match &config.wal_dir {
             Some(dir) => {
                 let opts = DurableOptions {
@@ -612,9 +624,9 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, Fault> {
         };
         Backend::Memory {
             store: Box::new(RwLock::new(store)),
-            engine,
         }
     };
+    let engine = EstimationEngine::with_recorder(EngineConfig::default(), rec.clone());
 
     let mut tenants = config.tenants.clone();
     if !tenants.iter().any(|t| t.config.name == DEFAULT_TENANT) {
@@ -634,6 +646,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, Fault> {
 
     let shared = Arc::new(Shared {
         backend,
+        engine,
         queue: FairQueue::new(&lanes),
         budgets,
         rec,

@@ -151,7 +151,7 @@ fn kill9_mid_storm_recovers_exactly_the_acknowledged_prefix() {
         // state.
         let (mut child, addr) = spawn_server(&summary, &wal_dir);
         let mut client = Client::connect(&*addr, "default").unwrap();
-        let last_seq = scrape_gauge(&mut client, "server.wal.last_seq") as u64;
+        let last_seq = scrape_gauge(&mut client, tl_obs::names::SERVER_WAL_LAST_SEQ) as u64;
         // Every ack is durable; at most one in-flight (written but never
         // acked) record may additionally have survived the kill.
         assert!(

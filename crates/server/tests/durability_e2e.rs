@@ -126,7 +126,7 @@ fn scrape_exposes_wal_counters_and_seqs() {
         "snapshot-every=2 fired"
     );
     assert_eq!(snap.counters["wal.append.failures"], 0);
-    assert_eq!(snap.gauges["server.wal.last_seq"], 3.0);
+    assert_eq!(snap.gauges[tl_obs::names::SERVER_WAL_LAST_SEQ], 3.0);
     handle.shutdown().expect("durable drain");
     std::fs::remove_dir_all(&dir).ok();
 }

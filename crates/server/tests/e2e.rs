@@ -7,7 +7,7 @@ use tl_fault::{Degradation, FaultKind};
 use tl_server::{serve, BudgetSpec, Client, ClientError, ServerConfig, TenantSpec};
 use tl_xml::{parse_document, ParseOptions};
 use treelattice::{
-    estimate_catalog, markov_estimate_store, BuildConfig, Catalog, EstimateOptions, Estimator,
+    estimate_catalog, markov_estimate, BuildConfig, Catalog, EstimateOptions, Estimator,
     MmapCatalog, TreeLattice,
 };
 
@@ -150,7 +150,7 @@ fn drained_server_sheds_with_markov_provenance() {
     let twig = lattice.parse_query("a/b/c").unwrap();
     assert_eq!(
         est.value.to_bits(),
-        markov_estimate_store(&lattice, &twig).to_bits()
+        markov_estimate(&lattice, &twig).to_bits()
     );
 
     // Scrape bypasses admission control and still works while draining.
@@ -210,6 +210,58 @@ fn mmap_backend_serves_and_refuses_update() {
         other => panic!("expected typed refusal, got {other}"),
     }
     handle.shutdown().expect("clean drain");
+}
+
+#[test]
+fn mmap_scrape_reports_mmap_lookup_counter() {
+    let lattice = sample_lattice();
+    let path = write_summary(&lattice, "mmap-lookups.tlat");
+    let mut config = ServerConfig::new(&path);
+    config.mmap = true;
+    let handle = serve(config).unwrap();
+    let mut client = Client::connect(handle.addr(), "default").unwrap();
+
+    for &query in QUERIES {
+        client.estimate(Estimator::Recursive, query).unwrap();
+    }
+    let snap = tl_obs::Snapshot::from_json(&client.scrape().unwrap()).unwrap();
+    assert!(
+        snap.counters[tl_obs::names::CATALOG_MMAP_LOOKUPS] > 0,
+        "served mmap estimates must surface their store probes"
+    );
+    handle.shutdown().expect("clean drain");
+}
+
+/// A `max_k` tenant degrades identically on both backends: the mmap
+/// server runs the same ladder as the memory server.
+#[test]
+fn mmap_backend_runs_the_degradation_ladder() {
+    let lattice = sample_lattice();
+    let path = write_summary(&lattice, "mmap-ladder.tlat");
+    let mut answers = Vec::new();
+    for mmap in [false, true] {
+        let mut config = ServerConfig::new(&path);
+        config.mmap = mmap;
+        let mut tenant = TenantSpec::new("capped", 1, 64);
+        tenant.budget = Some(BudgetSpec {
+            max_k: Some(2),
+            ..BudgetSpec::default()
+        });
+        config.tenants = vec![tenant];
+        let handle = serve(config).unwrap();
+        let mut client = Client::connect(handle.addr(), "capped").unwrap();
+        let est = client
+            .estimate(Estimator::Recursive, "a[b[c][d]][e]")
+            .unwrap();
+        assert_eq!(
+            est.degradation,
+            Degradation::ReducedK { k: 2 },
+            "mmap={mmap}"
+        );
+        answers.push(est.value.to_bits());
+        handle.shutdown().expect("clean drain");
+    }
+    assert_eq!(answers[0], answers[1], "memory and mmap values differ");
 }
 
 #[test]

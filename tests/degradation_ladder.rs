@@ -16,8 +16,9 @@ use tl_twig::Twig;
 use tl_workload::sample::random_occurred_twig;
 use tl_xml::Document;
 use treelattice::{
-    estimate_fixed_at, markov_estimate, Budget, BuildConfig, Degradation, EngineConfig,
-    EstimateOptions, EstimationEngine, Estimator, FaultKind, ResilientEstimate, TreeLattice,
+    estimate_fixed_at, markov_estimate, Budget, BuildConfig, Catalog, Degradation, EngineConfig,
+    EstimateOptions, EstimationEngine, Estimator, FaultKind, MmapCatalog, ResilientEstimate,
+    TreeLattice,
 };
 
 fn fixture() -> (Document, TreeLattice, Vec<Twig>) {
@@ -37,6 +38,14 @@ fn fixture() -> (Document, TreeLattice, Vec<Twig>) {
     }
     assert!(twigs.len() >= 4, "fixture workload came up short");
     (doc, lattice, twigs)
+}
+
+/// [`fixture`] built under the fail-point lock, for tests that do not hold
+/// it: mining consults `miner.deadline`, which a concurrent test's plan
+/// would otherwise hit.
+fn clean_fixture() -> (Document, TreeLattice, Vec<Twig>) {
+    let _guard = failpoints::exclusive();
+    fixture()
 }
 
 /// Asserts that `res.value` is bit-identical to the clean-path computation
@@ -161,7 +170,7 @@ fn drive_injected(
     expect_degraded: bool,
     expect_cause: Option<FaultKind>,
 ) -> Vec<(Twig, ResilientEstimate)> {
-    let (doc, lattice, twigs) = fixture();
+    let (doc, lattice, twigs) = clean_fixture();
     let opts = EstimateOptions::default();
     // Size ≥ 5 twigs genuinely decompose on a k=3 lattice, so the budget
     // sites are consulted.
@@ -242,7 +251,7 @@ fn memory_exhaustion_is_attributed_with_budget_cause() {
 
 #[test]
 fn engine_worker_panic_is_a_typed_fault_not_a_mislabeled_estimate() {
-    let (doc, lattice, twigs) = fixture();
+    let (doc, lattice, twigs) = clean_fixture();
     let opts = EstimateOptions::default();
     let engine = EstimationEngine::new(EngineConfig {
         threads: 1,
@@ -278,7 +287,7 @@ fn every_injection_site_preserves_attribution_or_types_its_fault() {
     // Sweep all sites with an always-rule: estimation sites must keep the
     // tag-matches-rung contract; pipeline sites must surface their typed
     // fault kind. Either way, nothing panics and nothing is mislabeled.
-    let (doc, lattice, twigs) = fixture();
+    let (doc, lattice, twigs) = clean_fixture();
     let opts = EstimateOptions::default();
     let twig = twigs.iter().find(|t| t.len() >= 5).expect("big twig");
     for &site in sites::ALL {
@@ -397,4 +406,122 @@ fn every_injection_site_preserves_attribution_or_types_its_fault() {
             other => panic!("new fail-point site {other} has no ladder coverage"),
         }
     }
+}
+
+/// What the ladder answered, in bit-comparable form: value bits, tag, and
+/// the cause's fault kind.
+fn outcome(res: &ResilientEstimate) -> (u64, Degradation, Option<FaultKind>) {
+    (
+        res.value.to_bits(),
+        res.degradation,
+        res.cause.as_ref().map(|c| c.kind),
+    )
+}
+
+/// Runs `estimate_resilient` through a fresh engine on `catalog` for every
+/// twig and estimator, under `spec` when given (a fresh plan per backend, so
+/// `nth` rules fire at the same query on each).
+fn ladder_on<C: Catalog + ?Sized>(
+    catalog: &C,
+    twigs: &[Twig],
+    opts: &EstimateOptions,
+    spec: Option<&str>,
+) -> Vec<(u64, Degradation, Option<FaultKind>)> {
+    let engine = EstimationEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    let run = || {
+        let mut out = Vec::new();
+        for twig in twigs {
+            for est in Estimator::ALL {
+                let res = engine
+                    .estimate_resilient(catalog, twig, est, opts)
+                    .expect("no worker fault injected");
+                out.push(outcome(&res));
+            }
+        }
+        out
+    };
+    match spec {
+        Some(spec) => failpoints::with_active(spec, 9, run),
+        None => {
+            let _guard = failpoints::exclusive();
+            run()
+        }
+    }
+}
+
+/// Backend parity: the engine's ladder over the zero-copy mmap frame must
+/// answer exactly what it answers over the in-memory lattice — value bits,
+/// degradation tag and cause kind — under every kind of budget trip.
+#[test]
+fn mmap_catalog_ladder_matches_in_memory_bit_for_bit() {
+    // Build, serialize and map with no plan active: mining consults
+    // `miner.deadline` and `to_bytes` consults `summary.corrupt`, which a
+    // concurrent test's plan would otherwise hit.
+    let guard = failpoints::exclusive();
+    let (_, lattice, mut twigs) = fixture();
+    twigs.push(lattice.parse_query("nosuchlabel/other").unwrap());
+    let dir = std::env::temp_dir().join(format!("tl-ladder-mmap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ladder.tlat");
+    std::fs::write(&path, lattice.to_bytes()).unwrap();
+    let mmap = MmapCatalog::open(&path).unwrap();
+    drop(guard);
+
+    let budgeted = |budget: Budget| EstimateOptions {
+        budget,
+        ..EstimateOptions::default()
+    };
+    let expired = Budget {
+        deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
+        ..Budget::default()
+    };
+    let cases: [(&str, EstimateOptions, Option<&str>); 5] = [
+        ("clean", EstimateOptions::default(), None),
+        ("max_k=2", budgeted(Budget::unlimited().with_max_k(2)), None),
+        ("expired deadline", budgeted(expired), None),
+        (
+            "max_mem_bytes=1",
+            budgeted(Budget::unlimited().with_max_mem_bytes(1)),
+            None,
+        ),
+        (
+            "budget.deadline=nth:1",
+            EstimateOptions::default(),
+            Some("budget.deadline=nth:1"),
+        ),
+    ];
+    for (name, opts, spec) in &cases {
+        let memory = ladder_on(&lattice, &twigs, opts, *spec);
+        let mapped = ladder_on(&mmap, &twigs, opts, *spec);
+        assert_eq!(memory, mapped, "{name}: backends disagree");
+        if *name != "clean" {
+            assert!(
+                memory.iter().any(|(_, d, _)| d.is_degraded()),
+                "{name}: the budget never engaged"
+            );
+        }
+        // The unknown-label twig (last, one entry per estimator) is zero
+        // and undegraded on both backends.
+        for (bits, degradation, cause) in &memory[memory.len() - Estimator::ALL.len()..] {
+            assert_eq!(f64::from_bits(*bits), 0.0, "{name}");
+            assert_eq!(*degradation, Degradation::None, "{name}");
+            assert!(cause.is_none(), "{name}");
+        }
+    }
+    // The engineless ladder on the lattice is the same computation.
+    let opts = budgeted(Budget::unlimited().with_max_k(2));
+    let engineless: Vec<_> = {
+        let _guard = failpoints::exclusive();
+        twigs
+            .iter()
+            .flat_map(|t| {
+                Estimator::ALL.map(|est| outcome(&lattice.estimate_resilient(t, est, &opts)))
+            })
+            .collect()
+    };
+    assert_eq!(engineless, ladder_on(&mmap, &twigs, &opts, None));
+    std::fs::remove_dir_all(&dir).ok();
 }
