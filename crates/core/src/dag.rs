@@ -71,6 +71,18 @@ pub(crate) trait IdCache {
 
     /// Records the estimate for an interned id.
     fn store(&mut self, id: TwigId, value: f64);
+
+    /// Returns a fix-sized estimator's cached whole-query answer for an
+    /// interned root. Kept apart from the sub-twig values: a whole-query
+    /// product differs from the recursive estimate of the same twig. A
+    /// per-query cache never sees a repeat, so the default keeps nothing.
+    fn lookup_whole(&mut self, _id: TwigId) -> Option<f64> {
+        None
+    }
+
+    /// Records a fix-sized estimator's whole-query answer for an interned
+    /// root (see [`IdCache::lookup_whole`]).
+    fn store_whole(&mut self, _id: TwigId, _value: f64) {}
 }
 
 /// Per-query id cache: a private interner plus a dense value table. Ids are
@@ -481,11 +493,27 @@ thread_local! {
         std::cell::RefCell::new((KeyEncoder::new(), Vec::new()));
 }
 
+/// Runs `f` on the canonical encoding of `twig`, encoded into the thread's
+/// pooled probe buffer (no allocation once the buffer has grown).
+pub(crate) fn with_root_key<R>(twig: &Twig, f: impl FnOnce(&[u8]) -> R) -> R {
+    PROBE_SCRATCH.with(|s| {
+        let (enc, buf) = &mut *s.borrow_mut();
+        enc.encode_into(twig, buf);
+        f(buf)
+    })
+}
+
 /// Runs `estimator` on the DAG against any pattern-store backend, through
 /// `cache`. The fix-sized estimators canonicalize first, so isomorphic
 /// queries get identical covers. With `budget` set, the evaluation enforces
 /// it (see the module docs) and returns the first trip as `Err`; with
 /// `None` it cannot fail.
+///
+/// Every estimator probes the query's root first: on a warm cache the whole
+/// query resolves to one intern and one lookup, with no arena, no
+/// expansion, and no allocation. The recursive estimators find their answer
+/// among the sub-twig values; the fix-sized ones keep a whole-query entry
+/// of their own ([`IdCache::lookup_whole`]).
 pub(crate) fn estimate_dag<C: IdCache, S: PatternStore + ?Sized>(
     store: &S,
     twig: &Twig,
@@ -500,67 +528,70 @@ pub(crate) fn estimate_dag<C: IdCache, S: PatternStore + ?Sized>(
         _ => 1,
     };
     let k = store.max_size();
-    match estimator {
-        Estimator::Recursive | Estimator::RecursiveVoting => PROBE_SCRATCH.with(|s| {
-            // The deadline comes before the root probe, so an expired
-            // budget degrades even a query the cache could answer.
-            if let Some(budget) = &budget {
-                budget.check_deadline()?;
-            }
-            // Probe the root before building anything: on a warm cache the
-            // whole query resolves to one intern and one lookup, with no
-            // arena, no expansion, and no allocation.
-            let (enc, buf) = &mut *s.borrow_mut();
-            enc.encode_into(twig, buf);
-            let id = cache.intern(buf);
-            if let Some(v) = cache.lookup(id) {
-                // One reference, no node materialized: warm repeats raise
-                // the cross-query dedup ratio instead of diluting it.
-                return Ok((v, 0, DagStats { nodes: 0, refs: 1 }));
-            }
-            // Cold direct probe, mirroring `admit`'s resolution rules:
-            // roots the store can answer (within-k exact counts, trivially
-            // absent size ≤ 2 patterns) skip the arena machinery entirely.
-            let direct = match store.lookup_bytes(buf) {
-                Lookup::Exact(c) => Some(c as f64),
-                Lookup::Derivable | Lookup::TooLarge if buf.len() / 6 <= 2 => Some(0.0),
-                Lookup::Derivable | Lookup::TooLarge => None,
-            };
-            if let Some(v) = direct {
-                if let Some(budget) = &budget {
-                    budget.check_mem(buf.len() as u64 + ENTRY_OVERHEAD)?;
-                }
-                cache.store(id, v);
-                return Ok((v, 0, DagStats { nodes: 0, refs: 1 }));
-            }
-            with_dag_scratch(|scratch| {
-                let mut ev = DagEvaluator::new(store, cache, voting, cap, budget, scratch);
-                let value = ev.eval_probed_root(buf, id)?;
-                Ok((value, ev.max_depth(), ev.stats()))
-            })
-        }),
-        Estimator::FixSized => with_dag_scratch(|scratch| {
-            let mut ev = DagEvaluator::new(store, cache, voting, cap, budget, scratch);
-            let value = eval_fixed(
-                &mut ev,
-                &key_of(twig).decode(),
-                CoverStrategy::AncestorsFirst,
-                k,
-            )?;
-            Ok((value, ev.max_depth(), ev.stats()))
-        }),
-        Estimator::FixSizedVoting => with_dag_scratch(|scratch| {
-            let mut ev = DagEvaluator::new(store, cache, voting, cap, budget, scratch);
-            let canonical = key_of(twig).decode();
-            let strategies = [CoverStrategy::AncestorsFirst, CoverStrategy::ChildrenFirst];
-            let mut sum = 0.0f64;
-            for &st in &strategies {
-                sum += eval_fixed(&mut ev, &canonical, st, k)?;
-            }
-            let value = sum / strategies.len() as f64;
-            Ok((value, ev.max_depth(), ev.stats()))
-        }),
+    // The deadline comes before the root probe, so an expired budget
+    // degrades even a query the cache could answer.
+    if let Some(budget) = &budget {
+        budget.check_deadline()?;
     }
+    // One reference, no node materialized: warm repeats raise the
+    // cross-query dedup ratio instead of diluting it.
+    const PROBED: DagStats = DagStats { nodes: 0, refs: 1 };
+    with_root_key(twig, |buf| {
+        let id = cache.intern(buf);
+        match estimator {
+            Estimator::Recursive | Estimator::RecursiveVoting => {
+                if let Some(v) = cache.lookup(id) {
+                    return Ok((v, 0, PROBED));
+                }
+                // Cold direct probe, mirroring `admit`'s resolution rules:
+                // roots the store can answer (within-k exact counts,
+                // trivially absent size ≤ 2 patterns) skip the arena
+                // machinery entirely.
+                let direct = match store.lookup_bytes(buf) {
+                    Lookup::Exact(c) => Some(c as f64),
+                    Lookup::Derivable | Lookup::TooLarge if buf.len() / 6 <= 2 => Some(0.0),
+                    Lookup::Derivable | Lookup::TooLarge => None,
+                };
+                if let Some(v) = direct {
+                    if let Some(budget) = &budget {
+                        budget.check_mem(buf.len() as u64 + ENTRY_OVERHEAD)?;
+                    }
+                    cache.store(id, v);
+                    return Ok((v, 0, PROBED));
+                }
+                with_dag_scratch(|scratch| {
+                    let mut ev = DagEvaluator::new(store, cache, voting, cap, budget, scratch);
+                    let value = ev.eval_probed_root(buf, id)?;
+                    Ok((value, ev.max_depth(), ev.stats()))
+                })
+            }
+            Estimator::FixSized | Estimator::FixSizedVoting => {
+                if let Some(v) = cache.lookup_whole(id) {
+                    return Ok((v, 0, PROBED));
+                }
+                let (value, depth, stats) = with_dag_scratch(|scratch| {
+                    let mut ev = DagEvaluator::new(store, cache, voting, cap, budget, scratch);
+                    let canonical = key_of(twig).decode();
+                    let value = if estimator == Estimator::FixSized {
+                        eval_fixed(&mut ev, &canonical, CoverStrategy::AncestorsFirst, k)?
+                    } else {
+                        let strategies =
+                            [CoverStrategy::AncestorsFirst, CoverStrategy::ChildrenFirst];
+                        let mut sum = 0.0f64;
+                        for &st in &strategies {
+                            sum += eval_fixed(&mut ev, &canonical, st, k)?;
+                        }
+                        sum / strategies.len() as f64
+                    };
+                    Ok::<_, Fault>((value, ev.max_depth(), ev.stats()))
+                })?;
+                // Only a completed answer is memoized, so the entry holds the
+                // same bits a budget-free evaluation computes.
+                cache.store_whole(id, value);
+                Ok((value, depth, stats))
+            }
+        }
+    })
 }
 
 /// Fix-sized estimation over windows of an explicit `k` nodes — possibly

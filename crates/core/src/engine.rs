@@ -28,7 +28,11 @@
 //!   widths are distinct cache populations; [`Estimator::Recursive`],
 //!   [`Estimator::FixSized`], and [`Estimator::FixSizedVoting`] share class
 //!   1 (their inner recursions are identical), `RecursiveVoting` uses its
-//!   saturated `voting_cap`.
+//!   saturated `voting_cap`. A fix-sized estimator's *whole-query* answer —
+//!   a telescoping product, not the recursive estimate of the same twig —
+//!   lives in a class of its own that names the estimator and the summary
+//!   order `k` the windows were cut at (`CacheClass`), so a warm
+//!   fix-sized query is one probe too.
 //!
 //! Since the interned-id rework, the key axis is a dense [`TwigId`] from the
 //! engine-wide [`TwigInterner`] rather than the canonical byte string
@@ -62,8 +66,9 @@ use tl_twig::{Twig, TwigId, TwigInterner};
 use tl_xml::FxHashMap;
 
 use crate::catalog::Catalog;
+use crate::dag::with_root_key;
 use crate::dag::{DagStats, IdCache};
-use crate::resilient::{estimate_guarded, ResilientEstimate};
+use crate::resilient::{estimate_guarded, names_unknown_label, runs_rung_one, ResilientEstimate};
 #[cfg(doc)]
 use crate::TreeLattice;
 use crate::{EstimateOptions, Estimator};
@@ -148,9 +153,39 @@ struct Shard {
     /// Generation the entries were computed against. Lookups for any other
     /// generation miss; stores for a newer one clear the shard first.
     generation: u64,
-    /// `(voting class, interned twig id) -> estimate`, flattened to a
+    /// `(cache class, interned twig id) -> estimate`, flattened to a
     /// single probe on the warm path.
-    entries: FxHashMap<(u32, TwigId), f64>,
+    entries: FxHashMap<(CacheClass, TwigId), f64>,
+}
+
+/// Which population a cached value belongs to. Values of different classes
+/// for the same twig differ, so the class is part of every key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum CacheClass {
+    /// A sub-twig's recursive estimate under this effective voting width.
+    SubTwig(u32),
+    /// A fix-sized estimator's whole-query answer: windows cut at order
+    /// `k`, one cover (`voting: false`) or the two-cover average.
+    FixedWhole { k: u32, voting: bool },
+}
+
+impl CacheClass {
+    /// The class of the sub-twig values `estimator`'s DAG reads and writes.
+    fn sub_twig(estimator: Estimator, opts: &EstimateOptions) -> Self {
+        CacheClass::SubTwig(voting_class(estimator, opts))
+    }
+
+    /// The class a query's root answer lives in: its sub-twig class for the
+    /// recursive estimators, a whole-query class for the fix-sized ones.
+    fn root(estimator: Estimator, opts: &EstimateOptions, k: usize) -> Self {
+        match estimator {
+            Estimator::Recursive | Estimator::RecursiveVoting => Self::sub_twig(estimator, opts),
+            Estimator::FixSized | Estimator::FixSizedVoting => CacheClass::FixedWhole {
+                k: u32::try_from(k).unwrap_or(u32::MAX),
+                voting: estimator == Estimator::FixSizedVoting,
+            },
+        }
+    }
 }
 
 /// A persistent, thread-safe estimation service over any [`Catalog`].
@@ -250,10 +285,44 @@ impl EstimationEngine {
         estimator: Estimator,
         opts: &EstimateOptions,
     ) -> f64 {
-        let mut cache =
-            SharedIdCache::new(self, catalog.generation(), voting_class(estimator, opts));
+        let mut cache = SharedIdCache::new(self, catalog, estimator, opts);
         self.estimate_in(catalog, twig, estimator, opts, &mut cache, false)
             .value
+    }
+
+    /// True when [`estimate_resilient`](EstimationEngine::estimate_resilient)
+    /// answers `twig` without decomposing anything: its root answer is
+    /// cached for `catalog`'s generation under this estimator's class, or it
+    /// names a label the summary lacks (answered zero). Deciding fires no
+    /// fail-point, checks no budget and moves no counter, so a caller can
+    /// route on it — answer now, or queue — and the call it then makes sees
+    /// exactly the fail-point sequence it would have seen anyway.
+    ///
+    /// A `true` is a snapshot: should the entry vanish before the call (a
+    /// generation bump in between), `estimate_resilient` computes it cold
+    /// and returns the same answer.
+    pub fn is_warm<C: Catalog + ?Sized>(
+        &self,
+        catalog: &C,
+        twig: &Twig,
+        estimator: Estimator,
+        opts: &EstimateOptions,
+    ) -> bool {
+        if names_unknown_label(catalog, twig) {
+            return true;
+        }
+        let k = catalog.max_size();
+        if !runs_rung_one(k, twig, opts) {
+            return false;
+        }
+        let class = CacheClass::root(estimator, opts, k);
+        with_root_key(twig, |bytes| {
+            let Some(id) = self.interner.read().get(bytes) else {
+                return false;
+            };
+            let shard = self.shard_for_id(id).read();
+            shard.generation == catalog.generation() && shard.entries.contains_key(&(class, id))
+        })
     }
 
     /// One query against an existing cache adapter (whose `(generation,
@@ -325,10 +394,8 @@ impl EstimationEngine {
         let _span = tl_obs::SpanGuard::start(&*self.rec, tl_obs::names::SPAN_BATCH);
         let start = Instant::now();
         let threads = self.effective_threads(batch.len());
-        let generation = catalog.generation();
-        let class = voting_class(estimator, opts);
         let results: Vec<f64> = if threads <= 1 {
-            let mut cache = SharedIdCache::new(self, generation, class);
+            let mut cache = SharedIdCache::new(self, catalog, estimator, opts);
             batch
                 .iter()
                 .map(|t| {
@@ -342,7 +409,7 @@ impl EstimationEngine {
             std::thread::scope(|scope| {
                 for _ in 0..threads {
                     scope.spawn(|| {
-                        let mut cache = SharedIdCache::new(self, generation, class);
+                        let mut cache = SharedIdCache::new(self, catalog, estimator, opts);
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(twig) = batch.get(i) else { break };
@@ -388,8 +455,7 @@ impl EstimationEngine {
                     failpoints::sites::ENGINE_WORKER
                 );
             }
-            let mut cache =
-                SharedIdCache::new(self, catalog.generation(), voting_class(estimator, opts));
+            let mut cache = SharedIdCache::new(self, catalog, estimator, opts);
             self.estimate_in(catalog, twig, estimator, opts, &mut cache, true)
         }));
         match outcome {
@@ -489,7 +555,8 @@ impl EstimationEngine {
         for shard in &self.shards {
             let guard = shard.read();
             entries += guard.entries.len();
-            bytes += guard.entries.capacity() * (std::mem::size_of::<((u32, TwigId), f64)>() + 1);
+            bytes +=
+                guard.entries.capacity() * (std::mem::size_of::<((CacheClass, TwigId), f64)>() + 1);
         }
         let interner = self.interner.read();
         EngineStats {
@@ -533,12 +600,15 @@ pub(crate) fn voting_class(estimator: Estimator, opts: &EstimateOptions) -> u32 
 
 /// Routes the DAG evaluator's id-keyed cache traffic to the engine's
 /// shards, batching counter updates until drop. Valid for one
-/// `(generation, voting class)` pair, so a batch worker holds a single
-/// adapter across all its queries and pays the atomic flush once.
+/// `(generation, estimator, options)` triple, so a batch worker holds a
+/// single adapter across all its queries and pays the atomic flush once.
 struct SharedIdCache<'e> {
     engine: &'e EstimationEngine,
     generation: u64,
-    class: u32,
+    /// Class of the sub-twig values (`lookup`/`store`).
+    class: CacheClass,
+    /// Class of the fix-sized whole-query answers (`*_whole`).
+    whole: CacheClass,
     hits: u64,
     misses: u64,
     key_clone_bytes: u64,
@@ -551,11 +621,17 @@ struct SharedIdCache<'e> {
 }
 
 impl<'e> SharedIdCache<'e> {
-    fn new(engine: &'e EstimationEngine, generation: u64, class: u32) -> Self {
+    fn new<C: Catalog + ?Sized>(
+        engine: &'e EstimationEngine,
+        catalog: &C,
+        estimator: Estimator,
+        opts: &EstimateOptions,
+    ) -> Self {
         Self {
             engine,
-            generation,
-            class,
+            generation: catalog.generation(),
+            class: CacheClass::sub_twig(estimator, opts),
+            whole: CacheClass::root(estimator, opts, catalog.max_size()),
             hits: 0,
             misses: 0,
             key_clone_bytes: 0,
@@ -584,9 +660,27 @@ impl IdCache for SharedIdCache<'_> {
     }
 
     fn lookup(&mut self, id: TwigId) -> Option<f64> {
+        self.lookup_in(self.class, id)
+    }
+
+    fn store(&mut self, id: TwigId, value: f64) {
+        self.store_in(self.class, id, value);
+    }
+
+    fn lookup_whole(&mut self, id: TwigId) -> Option<f64> {
+        self.lookup_in(self.whole, id)
+    }
+
+    fn store_whole(&mut self, id: TwigId, value: f64) {
+        self.store_in(self.whole, id, value);
+    }
+}
+
+impl SharedIdCache<'_> {
+    fn lookup_in(&mut self, class: CacheClass, id: TwigId) -> Option<f64> {
         let guard = self.engine.shard_for_id(id).read();
         let value = if guard.generation == self.generation {
-            guard.entries.get(&(self.class, id)).copied()
+            guard.entries.get(&(class, id)).copied()
         } else {
             None
         };
@@ -597,14 +691,14 @@ impl IdCache for SharedIdCache<'_> {
         value
     }
 
-    fn store(&mut self, id: TwigId, value: f64) {
+    fn store_in(&mut self, class: CacheClass, id: TwigId, value: f64) {
         let mut guard = self.engine.shard_for_id(id).write();
         if guard.generation != self.generation {
             // Entries belong to a superseded summary; evict lazily.
             guard.entries.clear();
             guard.generation = self.generation;
         }
-        guard.entries.insert((self.class, id), value);
+        guard.entries.insert((class, id), value);
     }
 }
 
@@ -764,6 +858,60 @@ mod tests {
         assert_eq!(
             voted.to_bits(),
             lat.estimate(&twig, Estimator::RecursiveVoting).to_bits()
+        );
+    }
+
+    /// A fix-sized whole-query answer and the recursive estimate of the same
+    /// twig live in different classes: warming one never answers the other,
+    /// in either order, and every warm answer keeps its estimator's bits.
+    #[test]
+    fn fixed_whole_query_entry_does_not_collide_with_recursive_entry() {
+        // Correlated optional children, so covering windows and recursive
+        // decomposition assume different independences.
+        let mut s = String::from("<r>");
+        for i in 0..12 {
+            s.push_str("<a>");
+            s.push_str(if i % 2 == 0 { "<b/>" } else { "" });
+            s.push_str(if i % 3 == 0 { "<c/>" } else { "" });
+            s.push_str(if i % 2 == 0 || i % 3 == 0 { "<d/>" } else { "" });
+            s.push_str(if i % 4 == 0 { "<e/><e/>" } else { "<e/>" });
+            s.push_str("</a>");
+        }
+        s.push_str("</r>");
+        let lat = TreeLattice::build(&doc(&s), &BuildConfig::with_k(3));
+        let twig = lat.parse_query("a[b][c][d]").unwrap();
+        assert!(twig.len() > lat.k(), "the query must need covering windows");
+        let expect = |est| lat.estimate(&twig, est).to_bits();
+        assert_ne!(
+            expect(Estimator::FixSized),
+            expect(Estimator::Recursive),
+            "the fixture must tell the two classes apart"
+        );
+        let opts = EstimateOptions::default();
+        let mut orders = vec![Estimator::ALL.to_vec()];
+        orders.push(Estimator::ALL.iter().rev().copied().collect());
+        for order in orders {
+            let engine = EstimationEngine::default();
+            for &est in &order {
+                assert!(!engine.is_warm(&lat, &twig, est, &opts), "{est} cold");
+                let cold = engine.estimate_resilient(&lat, &twig, est, &opts).unwrap();
+                assert_eq!(cold.value.to_bits(), expect(est), "{est} cold");
+                assert!(engine.is_warm(&lat, &twig, est, &opts), "{est} warmed");
+            }
+            for &est in &order {
+                let hits = engine.stats().hits;
+                let warm = engine.estimate_resilient(&lat, &twig, est, &opts).unwrap();
+                assert_eq!(warm.value.to_bits(), expect(est), "{est} warm");
+                assert_eq!(engine.stats().hits, hits + 1, "{est}: one root probe");
+            }
+        }
+        // The whole-query class carries the order its windows were cut at.
+        let whole = |k| CacheClass::root(Estimator::FixSized, &opts, k);
+        assert_ne!(whole(3), whole(4));
+        assert_ne!(whole(3), CacheClass::sub_twig(Estimator::FixSized, &opts));
+        assert_ne!(
+            whole(3),
+            CacheClass::root(Estimator::FixSizedVoting, &opts, 3)
         );
     }
 

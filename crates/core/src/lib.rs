@@ -63,7 +63,7 @@ pub mod wal;
 
 use tl_miner::{mine_with_index_budgeted, MineConfig};
 use tl_twig::canonical::KeyEncoder;
-use tl_twig::{parse_twig, Twig, TwigKey, TwigParseError};
+use tl_twig::{parse_twig, parse_twig_borrowed, Twig, TwigKey, TwigParseError};
 use tl_xml::{DocIndex, Document, FxHashMap, LabelId, LabelInterner};
 
 pub use catalog::{estimate_catalog, Catalog, CatalogError, MmapCatalog, PatternStore};
@@ -341,16 +341,13 @@ impl TreeLattice {
     /// Labels that never occurred in the document yield an estimate of `0.0`
     /// (they cannot match), not a parse error.
     pub fn estimate_query(&self, query: &str, estimator: Estimator) -> Result<f64, TwigParseError> {
-        let mut scratch = self.labels.clone();
-        let twig = parse_twig(query, &mut scratch)?;
-        Ok(self.estimate(&twig, estimator))
+        Ok(self.estimate(&self.parse_query(query)?, estimator))
     }
 
     /// Parses a query against this lattice's label table (new labels are
     /// allowed and mapped to fresh ids, which estimate to zero).
     pub fn parse_query(&self, query: &str) -> Result<Twig, TwigParseError> {
-        let mut scratch = self.labels.clone();
-        parse_twig(query, &mut scratch)
+        parse_twig_borrowed(query, &self.labels)
     }
 
     /// Renders a decomposition trace for a query (EXPLAIN); see

@@ -75,10 +75,7 @@ pub(crate) fn estimate_guarded<C: Catalog + ?Sized, K: IdCache>(
     cache: &mut K,
     ladder: bool,
 ) -> Option<(ResilientEstimate, Option<(usize, DagStats)>)> {
-    if twig
-        .nodes()
-        .any(|n| twig.label(n).index() >= catalog.labels().len())
-    {
+    if names_unknown_label(catalog, twig) {
         return None;
     }
     let budget = ladder.then_some(opts.budget);
@@ -94,6 +91,23 @@ pub(crate) fn estimate_guarded<C: Catalog + ?Sized, K: IdCache>(
         ResilientEstimate::exact(rung1().expect(UNBUDGETED))
     };
     Some((est, dag))
+}
+
+/// True when `twig` names a label `catalog` never saw (an id past its
+/// table, as a borrowed-table parse assigns): no pattern can match it.
+pub(crate) fn names_unknown_label<C: Catalog + ?Sized>(catalog: &C, twig: &Twig) -> bool {
+    let known = catalog.labels().len();
+    twig.nodes().any(|n| twig.label(n).index() >= known)
+}
+
+/// Whether the ladder runs rung 1 at all: a `max_k` budget below the
+/// store's order skips it for queries larger than the cap (their sub-twigs
+/// would exceed it), and the ladder starts at rung 2.
+pub(crate) fn runs_rung_one(store_k: usize, twig: &Twig, opts: &EstimateOptions) -> bool {
+    match opts.budget.max_k.map(|mk| mk.max(2)) {
+        Some(mk) => twig.len() <= mk || mk >= store_k,
+        None => true,
+    }
 }
 
 /// [`estimate_guarded`] on a throwaway per-query cache: the engineless path.
@@ -125,11 +139,7 @@ fn estimate_resilient<S: PatternStore + ?Sized>(
 
     // Rung 1: the requested estimator, unless max_k forbids touching
     // sub-twigs as large as this query would need.
-    let within_cap = match capped {
-        Some(mk) => twig.len() <= mk || mk >= k,
-        None => true,
-    };
-    if within_cap {
+    if runs_rung_one(k, twig, opts) {
         match rung1() {
             Ok(value) => return ResilientEstimate::exact(value),
             Err(fault) => cause = Some(fault),

@@ -66,9 +66,14 @@ pub const QUERY_LATENCY_US: &str = "engine.query.latency_us";
 /// Histogram: maximum decomposition recursion depth per query.
 pub const DECOMP_DEPTH: &str = "engine.decomposition.depth";
 
-/// Requests admitted by the server and answered through the full path
-/// (queue + worker + requested estimator).
+/// Requests admitted by the server and answered by the requested
+/// estimator — on a worker after queueing, or inline on the connection
+/// thread (`server.requests.inline`).
 pub const SERVER_ACCEPTED: &str = "server.requests.accepted";
+/// Admitted requests answered on the connection thread without queueing:
+/// warm estimates and all-warm batches. Always ≤
+/// `server.requests.accepted`.
+pub const SERVER_INLINE: &str = "server.requests.inline";
 /// Admitted requests that had to wait behind other work (queue depth was
 /// non-zero at enqueue time). Always ≤ `server.requests.accepted`.
 pub const SERVER_QUEUED: &str = "server.requests.queued";
@@ -84,8 +89,9 @@ pub const SERVER_RESP_DEGRADED: &str = "server.responses.degraded";
 pub const SERVER_RESP_FAULT: &str = "server.responses.fault";
 /// Gauge: queue depth sampled after each enqueue/dequeue.
 pub const SERVER_QUEUE_DEPTH: &str = "server.queue.depth";
-/// Histogram: server-side request latency (enqueue to response written),
-/// microseconds. Per-tenant variants are `server.tenant.<name>.latency_us`.
+/// Histogram: server-side request latency (admission to answer computed,
+/// queue wait included), microseconds. Per-tenant variants are
+/// `server.tenant.<name>.latency_us`.
 pub const SERVER_LATENCY_US: &str = "server.latency_us";
 
 /// Socket-option failures (`set_nodelay`/`set_read_timeout`) on accepted
@@ -94,6 +100,9 @@ pub const SERVER_SOCKOPT_ERRORS: &str = "server.sockopt_errors";
 /// Connections closed by the server's idle deadline (`--idle-timeout-ms`):
 /// half-open or slow-loris peers shed deterministically.
 pub const SERVER_IDLE_CLOSED: &str = "server.conn.idle_closed";
+/// Accepted connections dropped because their handler thread could not be
+/// spawned (the OS refused a thread).
+pub const SERVER_CONN_SPAWN_FAILURES: &str = "server.conn.spawn_failures";
 /// Gauge (durable backend): sequence number of the last WAL record,
 /// sampled at each scrape — the acked prefix recovery must reproduce.
 pub const SERVER_WAL_LAST_SEQ: &str = "server.wal.last_seq";
@@ -184,6 +193,7 @@ pub const SCHEMA_COUNTERS: &[&str] = &[
     ENGINE_KEY_CLONE_BYTES,
     ENGINE_DEGRADED,
     SERVER_ACCEPTED,
+    SERVER_INLINE,
     SERVER_QUEUED,
     SERVER_SHED,
     SERVER_CONNECTIONS,
@@ -191,6 +201,7 @@ pub const SCHEMA_COUNTERS: &[&str] = &[
     SERVER_RESP_FAULT,
     SERVER_SOCKOPT_ERRORS,
     SERVER_IDLE_CLOSED,
+    SERVER_CONN_SPAWN_FAILURES,
     WAL_APPENDS,
     WAL_APPEND_BYTES,
     WAL_FSYNCS,

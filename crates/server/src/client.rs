@@ -14,14 +14,17 @@
 //! never double-apply on the server.
 
 use std::fmt;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use tl_fault::Fault;
 use treelattice::Estimator;
 
-use crate::protocol::{read_frame, write_frame, FrameError, Request, Response, WireEstimate};
+use crate::protocol::{
+    read_frame_into, release_oversized, write_frame_with, FrameError, Request, Response,
+    WireEstimate,
+};
 
 /// Client-side failure: transport trouble or a typed protocol fault.
 #[derive(Debug)]
@@ -97,7 +100,12 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 pub struct Client {
     addrs: Vec<SocketAddr>,
-    stream: Option<TcpStream>,
+    /// The connection, read through a buffer so a response frame costs one
+    /// read call.
+    stream: Option<BufReader<TcpStream>>,
+    /// Frame scratch reused across requests: the outgoing frame, then the
+    /// incoming body.
+    frame: Vec<u8>,
     tenant: String,
     config: ClientConfig,
     rng: u64,
@@ -136,6 +144,7 @@ impl Client {
         let mut client = Self {
             addrs,
             stream: None,
+            frame: Vec::new(),
             tenant: tenant.into(),
             config,
             rng,
@@ -143,7 +152,7 @@ impl Client {
             idem_counter: 0,
         };
         let stream = client.open_stream()?;
-        client.stream = Some(stream);
+        client.stream = Some(BufReader::new(stream));
         Ok(client)
     }
 
@@ -204,24 +213,28 @@ impl Client {
             Some(s) => s,
             None => {
                 let s = self.open_stream()?;
-                self.stream.insert(s)
+                self.stream.insert(BufReader::new(s))
             }
         };
-        stream.set_read_timeout(Some(remaining))?;
-        stream.set_write_timeout(Some(remaining))?;
-        write_frame(stream, &request.encode())?;
-        let body = match read_frame(stream) {
-            Ok(body) => body,
-            Err(FrameError::Eof) => return Err(ClientError::Closed),
+        stream.get_ref().set_read_timeout(Some(remaining))?;
+        stream.get_ref().set_write_timeout(Some(remaining))?;
+        write_frame_with(stream.get_mut(), &mut self.frame, |out| {
+            request.encode_into(out)
+        })?;
+        let read = read_frame_into(stream, &mut self.frame, &mut |e| Err(FrameError::Io(e)));
+        let decoded = read.map(|()| Response::decode(&self.frame));
+        release_oversized(&mut self.frame);
+        match decoded {
+            Ok(resp) => resp.map_err(ClientError::Protocol),
+            Err(FrameError::Eof) => Err(ClientError::Closed),
             Err(FrameError::Io(e))
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                return Err(ClientError::Deadline)
+                Err(ClientError::Deadline)
             }
-            Err(FrameError::Io(e)) => return Err(ClientError::Io(e)),
-            Err(FrameError::Corrupt(f)) => return Err(ClientError::Protocol(f)),
-        };
-        Response::decode(&body).map_err(ClientError::Protocol)
+            Err(FrameError::Io(e)) => Err(ClientError::Io(e)),
+            Err(FrameError::Corrupt(f)) => Err(ClientError::Protocol(f)),
+        }
     }
 
     /// Sends one request and blocks for its response under the

@@ -7,7 +7,9 @@
 //! ([`protocol`], "tl-wire/1"). Both backends answer estimates through the
 //! same [`treelattice::EstimationEngine::estimate_resilient`] call: one
 //! shared sub-twig cache, and the tenant's budget enforced down the same
-//! degradation ladder.
+//! degradation ladder. A warm estimate — one the engine answers without
+//! decomposing — runs that call on the connection thread; only cold work
+//! waits for a worker (see [`server`] for the request lifecycle).
 //!
 //! Multi-tenancy is first-class: each tenant gets a weighted fair-queue
 //! lane with an admission cap and a [`tl_fault::Budget`] template

@@ -171,13 +171,45 @@ impl Response {
 
 // --- framing ---------------------------------------------------------
 
-/// Writes one frame (`len | body | checksum`) to `w`.
+/// Frame buffers grown past this capacity are released after use, so one
+/// oversized frame does not pin its memory for the rest of a connection.
+pub const FRAME_BUF_KEEP: usize = 64 << 10;
+
+/// Writes one frame (`len | body | checksum`) to `w` with a single
+/// `write_all`, so a `TCP_NODELAY` socket sends it as one segment rather
+/// than three. `encode` appends the body to `buf`, a caller-owned scratch
+/// buffer reused across frames (cleared first; released afterwards if it
+/// grew past [`FRAME_BUF_KEEP`]).
+pub fn write_frame_with(
+    w: &mut impl Write,
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    encode(buf);
+    let len = buf.len() - 4;
+    debug_assert!(len <= MAX_FRAME_LEN);
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    let sum = fnv1a(&buf[4..]);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    let written = w.write_all(buf).and_then(|()| w.flush());
+    release_oversized(buf);
+    written
+}
+
+/// Writes one frame (`len | body | checksum`) to `w` with a single write.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    debug_assert!(body.len() <= MAX_FRAME_LEN);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
-    w.write_all(&fnv1a(body).to_le_bytes())?;
-    w.flush()
+    let mut buf = Vec::with_capacity(body.len() + 12);
+    write_frame_with(w, &mut buf, |out| out.extend_from_slice(body))
+}
+
+/// Drops a scratch buffer's allocation once it has grown past
+/// [`FRAME_BUF_KEEP`].
+pub fn release_oversized(buf: &mut Vec<u8>) {
+    if buf.capacity() > FRAME_BUF_KEEP {
+        *buf = Vec::new();
+    }
 }
 
 /// How reading a frame can end besides success.
@@ -188,64 +220,97 @@ pub enum FrameError {
     /// An I/O error (includes read timeouts, which callers use to poll
     /// shutdown flags).
     Io(io::Error),
-    /// The frame was structurally bad: oversized length prefix,
-    /// truncated body, or checksum mismatch.
+    /// The frame could not be completed: oversized length prefix,
+    /// truncated body, checksum mismatch, or a peer that stalled mid-frame.
     Corrupt(Fault),
 }
 
 /// Reads one frame, verifying the checksum. Truncation mid-frame and
 /// checksum mismatches come back as `Corrupt` with a typed
-/// [`FaultKind::Parse`] fault.
+/// [`FaultKind::Parse`] fault; a read timeout, before or inside the frame,
+/// comes back as `Io`.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
+    let mut body = Vec::new();
+    read_frame_into(r, &mut body, &mut |e| Err(FrameError::Io(e)))?;
+    Ok(body)
+}
+
+/// Reads one frame into `body` (cleared first, capacity reused), verifying
+/// the checksum.
+///
+/// A read timeout before the frame's first byte returns `Io` at once — the
+/// caller's idle poll. Once the frame has started, a timeout is handed to
+/// `stalled`: `Ok(())` keeps reading where the frame left off, `Err` ends
+/// the read with that error. Either way no byte of a started frame is
+/// dropped, so a pause inside a frame can never shift the stream onto a
+/// false length prefix.
+pub fn read_frame_into(
+    r: &mut impl Read,
+    body: &mut Vec<u8>,
+    stalled: &mut dyn FnMut(io::Error) -> Result<(), FrameError>,
+) -> Result<(), FrameError> {
+    let mut started = false;
     let mut len_buf = [0u8; 4];
-    match r.read(&mut len_buf) {
-        Ok(0) => return Err(FrameError::Eof),
-        Ok(n) if n < 4 => {
-            if let Err(e) = r.read_exact(&mut len_buf[n..]) {
-                return Err(truncated(e));
-            }
-        }
-        Ok(_) => {}
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => return read_frame(r),
-        Err(e) => return Err(FrameError::Io(e)),
-    }
+    fill(r, &mut len_buf, &mut started, stalled)?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Corrupt(Fault::parse(format!(
             "frame length {len} exceeds cap {MAX_FRAME_LEN}"
         ))));
     }
-    let mut body = vec![0u8; len];
-    if let Err(e) = r.read_exact(&mut body) {
-        return Err(truncated(e));
-    }
+    body.clear();
+    body.resize(len, 0);
+    fill(r, body, &mut started, stalled)?;
     let mut sum_buf = [0u8; 8];
-    if let Err(e) = r.read_exact(&mut sum_buf) {
-        return Err(truncated(e));
-    }
+    fill(r, &mut sum_buf, &mut started, stalled)?;
     let expect = u64::from_le_bytes(sum_buf);
-    let got = fnv1a(&body);
+    let got = fnv1a(body);
     if got != expect {
         return Err(FrameError::Corrupt(Fault::parse(format!(
             "frame checksum mismatch: stored {expect:#x}, computed {got:#x}"
         ))));
     }
-    Ok(body)
+    Ok(())
 }
 
-fn truncated(e: io::Error) -> FrameError {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        FrameError::Corrupt(Fault::parse("truncated frame"))
-    } else {
-        FrameError::Io(e)
+/// Fills `buf` completely, tracking progress across partial reads and
+/// timeouts (unlike `read_exact`, which loses the count on error).
+fn fill(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    started: &mut bool,
+    stalled: &mut dyn FnMut(io::Error) -> Result<(), FrameError>,
+) -> Result<(), FrameError> {
+    let mut pos = 0;
+    while pos < buf.len() {
+        match r.read(&mut buf[pos..]) {
+            Ok(0) if *started => return Err(FrameError::Corrupt(Fault::parse("truncated frame"))),
+            Ok(0) => return Err(FrameError::Eof),
+            Ok(n) => {
+                pos += n;
+                *started = true;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e)
+                if *started
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+            {
+                stalled(e)?
+            }
+            Err(e) => return Err(FrameError::Io(e)),
+        }
     }
+    Ok(())
 }
 
 // --- body encoding ---------------------------------------------------
 
-struct Enc(Vec<u8>);
+struct Enc<'a>(&'a mut Vec<u8>);
 
-impl Enc {
+impl Enc<'_> {
     fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
@@ -422,7 +487,14 @@ fn dec_estimate(dec: &mut Dec) -> Result<WireEstimate, Fault> {
 
 impl Request {
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc(Vec::with_capacity(64));
+        let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoded request body to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut enc = Enc(out);
         match self {
             Request::Estimate {
                 tenant,
@@ -469,7 +541,6 @@ impl Request {
                 enc.string(tenant);
             }
         }
-        enc.0
     }
 
     /// Decodes a request body. Every malformation — unknown op, truncated
@@ -527,7 +598,14 @@ const RESP_SCRAPE: u8 = 4;
 
 impl Response {
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc(Vec::with_capacity(32));
+        let mut out = Vec::with_capacity(32);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoded response body to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut enc = Enc(out);
         enc.u8(self.status());
         match self {
             Response::Error { fault, .. } => {
@@ -572,7 +650,6 @@ impl Response {
                 enc.string(json);
             }
         }
-        enc.0
     }
 
     pub fn decode(body: &[u8]) -> Result<Self, Fault> {
@@ -753,6 +830,94 @@ mod tests {
             Err(FrameError::Eof) => {}
             other => panic!("expected eof, got {other:?}"),
         }
+    }
+
+    /// Replays `chunks` one `read` at a time; `None` is a read timeout.
+    struct Chunked(std::collections::VecDeque<Option<Vec<u8>>>);
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(Some(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(Some(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timeout_inside_a_frame_resumes_without_losing_bytes() {
+        let body = Request::Scrape { tenant: "x".into() }.encode();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &body).unwrap();
+        // Pauses after the prefix, inside the body, and before the sum.
+        let split = |wire: &[u8]| {
+            Chunked(
+                [
+                    Some(wire[..4].to_vec()),
+                    None,
+                    Some(wire[4..7].to_vec()),
+                    None,
+                    Some(wire[7..wire.len() - 8].to_vec()),
+                    None,
+                    Some(wire[wire.len() - 8..].to_vec()),
+                ]
+                .into(),
+            )
+        };
+        let mut got = Vec::new();
+        let mut stalls = 0;
+        read_frame_into(&mut split(&wire), &mut got, &mut |_| {
+            stalls += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!((got, stalls), (body, 3));
+
+        // A caller that gives up gets its own error back; a timeout before
+        // the first byte is always the plain idle poll.
+        let give_up = &mut |_| Err(FrameError::Corrupt(Fault::timeout("stalled")));
+        match read_frame_into(&mut split(&wire), &mut Vec::new(), give_up) {
+            Err(FrameError::Corrupt(f)) => assert_eq!(f.kind, FaultKind::Timeout),
+            other => panic!("expected the stall fault, got {other:?}"),
+        }
+        let mut idle = Chunked([None].into());
+        match read_frame_into(&mut idle, &mut Vec::new(), give_up) {
+            Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+            other => panic!("expected the idle poll, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn frames_go_out_in_one_write_and_big_buffers_are_released() {
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let resp = Response::Estimate(WireEstimate::exact(2.5));
+        let mut out = Writes(Vec::new());
+        let mut buf = Vec::new();
+        write_frame_with(&mut out, &mut buf, |b| resp.encode_into(b)).unwrap();
+        assert_eq!(out.0, vec![4 + resp.encode().len() + 8]);
+        assert!(buf.capacity() > 0, "a small buffer is kept for reuse");
+
+        let big = vec![7u8; FRAME_BUF_KEEP + 1];
+        write_frame_with(&mut out, &mut buf, |b| b.extend_from_slice(&big)).unwrap();
+        assert_eq!(out.0.len(), 2);
+        assert_eq!(buf.capacity(), 0, "an oversized buffer is released");
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! is refused *before* it costs a queue slot, and the caller answers the
 //! request degraded-with-provenance instead (see `server.rs`). Refusals
 //! are never silent drops.
+//!
+//! Work answered without a worker (a warm estimate on the connection
+//! thread) still pays for its service: [`FairQueue::charge`] applies the
+//! drain refusal and the virtual-time advance of an enqueue immediately
+//! followed by its dispatch, so inline answers count against their
+//! tenant's share exactly like queued ones.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -101,10 +107,6 @@ impl<T> FairQueue<T> {
         self.names.iter().position(|n| n == tenant)
     }
 
-    pub fn tenant_name(&self, lane: usize) -> &str {
-        &self.names[lane]
-    }
-
     pub fn tenant_names(&self) -> &[String] {
         &self.names
     }
@@ -133,6 +135,26 @@ impl<T> FairQueue<T> {
         drop(inner);
         self.ready.notify_one();
         Ok(depth)
+    }
+
+    /// Charges `lane` for one request served outside the queue: refused
+    /// while draining, exactly like [`FairQueue::enqueue`], otherwise the
+    /// lane re-enters at the virtual clock if idle and advances by
+    /// `1 / weight`, exactly like an enqueue followed by its dequeue. The
+    /// lane cap does not apply — nothing is held.
+    pub fn charge(&self, lane: usize) -> Result<(), Refusal> {
+        let mut inner = self.inner.lock().expect("queue lock");
+        if inner.draining || inner.shutdown {
+            return Err(Refusal::Draining);
+        }
+        let vclock = inner.vclock;
+        let l = &mut inner.lanes[lane];
+        if l.queue.is_empty() {
+            l.vtime = l.vtime.max(vclock);
+        }
+        l.vtime += 1.0 / l.weight;
+        inner.vclock = inner.lanes[lane].vtime;
+        Ok(())
     }
 
     /// Blocks until a job is available, returning `(lane, item)`; `None`
@@ -253,6 +275,40 @@ mod tests {
         assert_eq!(q.dequeue().unwrap().1, 7);
         q.shutdown();
         assert!(q.dequeue().is_none());
+    }
+
+    /// A charge moves virtual time exactly as an enqueue plus its dequeue
+    /// would, and is refused while draining.
+    #[test]
+    fn charge_advances_vtime_like_dispatch_and_refuses_while_draining() {
+        let charged = q(&[(2, 10), (1, 10)]);
+        let queued = q(&[(2, 10), (1, 10)]);
+        for lane in [0, 0, 1, 0] {
+            charged.charge(lane).unwrap();
+            queued.enqueue(lane, 0).unwrap();
+            assert_eq!(queued.dequeue().unwrap().0, lane);
+        }
+        let state = |q: &FairQueue<u32>| {
+            let inner = q.inner.lock().unwrap();
+            let vtimes: Vec<f64> = inner.lanes.iter().map(|l| l.vtime).collect();
+            (vtimes, inner.vclock, inner.depth)
+        };
+        assert_eq!(state(&charged), state(&queued));
+        // Weight 2 advances by 1/2, weight 1 by 1; idle lanes re-enter at
+        // the clock.
+        assert_eq!(state(&charged), (vec![2.5, 2.0], 2.5, 0));
+        // Charged service counts against the tenant: lane 1 waits while
+        // lane 0 is served inline twice, so lane 1 wins the next dispatch
+        // (without the charges the tie would go to lane 0).
+        charged.enqueue(1, 8).unwrap();
+        charged.charge(0).unwrap();
+        charged.charge(0).unwrap();
+        charged.enqueue(0, 7).unwrap();
+        assert_eq!(charged.dequeue().unwrap(), (1, 8));
+
+        charged.begin_drain();
+        assert_eq!(charged.charge(0), Err(Refusal::Draining));
+        assert_eq!(charged.charge(1), Err(Refusal::Draining));
     }
 
     #[test]

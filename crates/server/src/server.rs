@@ -3,30 +3,45 @@
 //!
 //! Request lifecycle:
 //!
-//! 1. A connection thread reads one frame, decodes it, and parses the
-//!    query against the catalog's label table. Malformed bytes are a
-//!    typed fault (status 3); a bad query string is a usage error
-//!    (status 2). Neither costs a queue slot.
-//! 2. The request is admitted into its tenant's fair-queue lane. If the
-//!    lane is full (or the server is draining), the request is **shed**:
-//!    the connection thread answers immediately with the closed-form
-//!    Markov estimate ([`treelattice::markov_estimate`]) tagged
+//! 1. A connection thread reads one frame through a buffered reader,
+//!    decodes it, and parses the query against the catalog's label table,
+//!    borrowed (a label the summary lacks gets a fresh id past the table,
+//!    which every estimator answers as zero). Malformed bytes are a typed
+//!    fault (status 3); a bad query string is a usage error (status 2).
+//!    Neither costs a queue slot. A frame that stalls after its first byte
+//!    is read to the end within the idle deadline, or answered with a
+//!    typed timeout fault and the connection closed — never half-read.
+//! 2. The tenant's [`Budget`] is minted: its deadline runs from here
+//!    (admission), so any queue wait counts against it.
+//! 3. **Warm short path.** When the engine can answer without decomposing
+//!    ([`EstimationEngine::is_warm`]: a cached root answer, or a label
+//!    the summary lacks) — for a batch, only when every item can — the
+//!    connection thread charges the tenant's lane
+//!    ([`FairQueue::charge`]: the drain refusal and virtual-time advance
+//!    of an enqueue plus its dispatch) and runs the same
+//!    [`EstimationEngine::estimate_resilient`] call a worker would, so
+//!    the answer, its degradation tag and its cause are the same bits.
+//! 4. Otherwise the request is admitted into its tenant's fair-queue lane
+//!    and a worker dequeues it in weighted-fair order and runs the
+//!    requested estimator under the budget. Cold estimates, cold batches,
+//!    `truth` and `update` take this path. Budget trips degrade down the
+//!    ladder inside the engine; the response carries the rung. Both
+//!    backends — the in-memory lattice and the read-only mmap catalog —
+//!    answer through the same call, so mmap tenants get the same budgets,
+//!    degradation tags and shared sub-twig cache as memory tenants.
+//! 5. A refused charge or enqueue (lane full, or the server draining) is
+//!    **shed**: the connection thread answers with the closed-form Markov
+//!    estimate ([`treelattice::markov_estimate`]) tagged
 //!    [`Degradation::Markov`] and a cause fault naming the refusal — the
-//!    [`treelattice::ResilientEstimate`] contract, so overload is never
-//!    an untyped error and never silence.
-//! 3. A worker dequeues in weighted-fair order and runs the requested
-//!    estimator under the tenant's [`Budget`] (deadline measured from
-//!    admission, so queue wait counts against it). Budget trips degrade
-//!    down the ladder inside the engine; the response carries the rung.
-//!    Both backends — the in-memory lattice and the read-only mmap catalog
-//!    — answer through the same [`EstimationEngine::estimate_resilient`]
-//!    call, so mmap tenants get the same budgets, degradation tags and
-//!    shared sub-twig cache as memory tenants.
+//!    [`treelattice::ResilientEstimate`] contract, so overload is never an
+//!    untyped error and never silence.
+//! 6. The answer is encoded and written as one frame from a buffer the
+//!    connection reuses.
 //!
 //! `scrape` bypasses the queue entirely: observability must work *best*
 //! exactly when the server is overloaded.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,14 +53,18 @@ use parking_lot::RwLock;
 use tl_fault::{Budget, Degradation, Fault};
 use tl_obs::{names, MetricsRecorder, Recorder};
 use tl_twig::canonical::key_of;
-use tl_twig::{parse_twig, Twig};
+use tl_twig::{parse_twig_borrowed, Twig, TwigParseError};
+use tl_xml::LabelInterner;
 use treelattice::{
     markov_estimate, Catalog, DurabilityPolicy, DurableLattice, DurableOptions, EngineConfig,
     EstimateOptions, EstimationEngine, Estimator, Lookup, MmapCatalog, PatternStore,
     ResilientEstimate, TreeLattice, TunedLattice,
 };
 
-use crate::protocol::{read_frame, write_frame, FrameError, Request, Response, WireEstimate};
+use crate::protocol::{
+    read_frame_into, release_oversized, write_frame_with, FrameError, Request, Response,
+    WireEstimate,
+};
 use crate::queue::{FairQueue, Refusal, TenantConfig};
 
 /// Per-tenant budget template; a concrete [`Budget`] (with its deadline
@@ -187,10 +206,29 @@ impl Backend {
         }
     }
 
-    fn labels(&self) -> tl_xml::LabelInterner {
+    /// Parses against the catalog's label table, borrowed: no clone, and
+    /// the table is never extended.
+    fn parse(&self, query: &str) -> Result<Twig, TwigParseError> {
         match self {
-            Backend::Memory { store } => store.read().tuned().lattice().labels().clone(),
-            Backend::Mmap { catalog } => catalog.labels().clone(),
+            Backend::Memory { store } => {
+                parse_twig_borrowed(query, store.read().tuned().lattice().labels())
+            }
+            Backend::Mmap { catalog } => parse_twig_borrowed(query, catalog.labels()),
+        }
+    }
+
+    fn is_warm(
+        &self,
+        engine: &EstimationEngine,
+        twig: &Twig,
+        estimator: Estimator,
+        opts: &EstimateOptions,
+    ) -> bool {
+        match self {
+            Backend::Memory { store } => {
+                engine.is_warm(store.read().tuned().lattice(), twig, estimator, opts)
+            }
+            Backend::Mmap { catalog } => engine.is_warm(catalog, twig, estimator, opts),
         }
     }
 
@@ -213,14 +251,23 @@ impl Backend {
         }
     }
 
+    /// The stored count of the twig's pattern. A twig naming a label the
+    /// summary lacks has none, and is answered without a probe.
     fn truth(&self, twig: &Twig) -> Response {
-        let key = key_of(twig);
         let stored = match self {
-            Backend::Memory { store } => store.read().tuned().lattice().summary().stored(&key),
-            Backend::Mmap { catalog } => match catalog.lookup_bytes(key.as_bytes()) {
-                Lookup::Exact(c) => Some(c),
-                Lookup::Derivable | Lookup::TooLarge => None,
-            },
+            Backend::Memory { store } => {
+                let guard = store.read();
+                let lattice = guard.tuned().lattice();
+                knows_every_label(lattice.labels(), twig)
+                    .then(|| lattice.summary().stored(&key_of(twig)))
+                    .flatten()
+            }
+            Backend::Mmap { catalog } => knows_every_label(catalog.labels(), twig)
+                .then(|| match catalog.lookup_bytes(key_of(twig).as_bytes()) {
+                    Lookup::Exact(c) => Some(c),
+                    Lookup::Derivable | Lookup::TooLarge => None,
+                })
+                .flatten(),
         };
         Response::Truth { stored }
     }
@@ -229,6 +276,14 @@ impl Backend {
         match self {
             Backend::Memory { store } => {
                 let mut guard = store.write();
+                // The summary cannot hold a count for a label it lacks; the
+                // id such a label parsed to names nothing, so storing under
+                // it would alias every other unknown label.
+                if !knows_every_label(guard.tuned().lattice().labels(), twig) {
+                    return Response::usage(Fault::parse(
+                        "update names a label the summary does not contain",
+                    ));
+                }
                 match &mut *guard {
                     Store::Plain(tuned) => {
                         tuned.observe(twig, true_count);
@@ -254,6 +309,20 @@ impl Backend {
     }
 }
 
+/// Whether every label of `twig` is in `labels` (a borrowed-table parse
+/// gives unknown labels ids past the table).
+fn knows_every_label(labels: &LabelInterner, twig: &Twig) -> bool {
+    twig.nodes().all(|n| twig.label(n).index() < labels.len())
+}
+
+/// The estimate options of a served request: defaults under its budget.
+fn options(budget: Budget) -> EstimateOptions {
+    EstimateOptions {
+        budget,
+        ..EstimateOptions::default()
+    }
+}
+
 /// One estimate through the engine's degradation ladder under `budget`, on
 /// whichever catalog backs the server (monomorphized per backend).
 fn answer<C: Catalog + ?Sized>(
@@ -263,11 +332,7 @@ fn answer<C: Catalog + ?Sized>(
     estimator: Estimator,
     budget: Budget,
 ) -> Response {
-    let opts = EstimateOptions {
-        budget,
-        ..EstimateOptions::default()
-    };
-    match engine.estimate_resilient(catalog, twig, estimator, &opts) {
+    match engine.estimate_resilient(catalog, twig, estimator, &options(budget)) {
         Ok(est) => Response::Estimate(wire(est)),
         Err(fault) => Response::fault(fault),
     }
@@ -313,6 +378,8 @@ struct Shared {
     engine: EstimationEngine,
     queue: FairQueue<Job>,
     budgets: Vec<BudgetSpec>,
+    /// `server.tenant.<name>.latency_us` per lane, built once at start.
+    tenant_latency: Vec<String>,
     rec: Arc<MetricsRecorder>,
     shutting_down: AtomicBool,
     /// Per-connection idle deadline; zero disables shedding.
@@ -328,9 +395,56 @@ impl Shared {
     }
 
     fn parse(&self, query: &str) -> Result<Twig, Response> {
-        let mut labels = self.backend.labels();
-        parse_twig(query, &mut labels)
+        self.backend
+            .parse(query)
             .map_err(|e| Response::usage(Fault::parse(format!("query `{query}`: {e}"))))
+    }
+
+    /// True when the engine answers `work` without decomposing: an
+    /// estimate whose answer is warm, or a batch whose every item is.
+    fn is_warm(&self, work: &Work, budget: Budget) -> bool {
+        let opts = options(budget);
+        let warm = |twig: &Twig, estimator: Estimator| {
+            self.backend.is_warm(&self.engine, twig, estimator, &opts)
+        };
+        match work {
+            Work::Estimate { twig, estimator } => warm(twig, *estimator),
+            Work::Batch { twigs, estimator } => twigs.iter().all(|t| warm(t, *estimator)),
+            Work::Truth { .. } | Work::Update { .. } => false,
+        }
+    }
+
+    /// Answers a refused admission with its shed response.
+    fn refuse(&self, work: &Work, refusal: Refusal) -> Response {
+        let resp = self.shed(work, refusal);
+        if matches!(resp, Response::Error { .. }) {
+            self.rec.add(names::SERVER_RESP_FAULT, 1);
+        } else {
+            self.rec.add(names::SERVER_RESP_DEGRADED, 1);
+        }
+        resp
+    }
+
+    /// Records an answered request: latency since admission, overall and
+    /// for the tenant, and whether it came back degraded or faulted.
+    fn record_answer(&self, lane: usize, admitted: Instant, resp: &Response) {
+        let us = admitted.elapsed().as_micros() as u64;
+        self.rec.observe(names::SERVER_LATENCY_US, us);
+        self.rec.observe(&self.tenant_latency[lane], us);
+        match resp {
+            Response::Error { .. } => self.rec.add(names::SERVER_RESP_FAULT, 1),
+            Response::Estimate(e) if e.degradation.is_degraded() => {
+                self.rec.add(names::SERVER_RESP_DEGRADED, 1)
+            }
+            Response::Batch(items)
+                if items
+                    .iter()
+                    .any(|i| matches!(i, Ok(e) if e.degradation.is_degraded()) || i.is_err()) =>
+            {
+                self.rec.add(names::SERVER_RESP_DEGRADED, 1)
+            }
+            _ => {}
+        }
     }
 
     /// The shed answer: rung 3 with provenance, never an untyped error.
@@ -357,7 +471,8 @@ impl Shared {
     }
 
     /// Decodes and answers one request body. Blocks until the response
-    /// is ready (workers run queued ops; sheds and scrapes are inline).
+    /// is ready (workers run queued ops; warm estimates, sheds and scrapes
+    /// are answered on the calling thread).
     fn process(&self, body: &[u8]) -> Response {
         let request = match Request::decode(body) {
             Ok(r) => r,
@@ -394,11 +509,22 @@ impl Shared {
             }
         };
         let budget = self.budgets[lane].to_budget();
+        let admitted = Instant::now();
+        if self.is_warm(&work, budget) {
+            if let Err(refusal) = self.queue.charge(lane) {
+                return self.refuse(&work, refusal);
+            }
+            self.rec.add(names::SERVER_ACCEPTED, 1);
+            self.rec.add(names::SERVER_INLINE, 1);
+            let resp = self.run_work(&work, budget);
+            self.record_answer(lane, admitted, &resp);
+            return resp;
+        }
         let (tx, rx) = mpsc::channel();
         let job = Job {
             work,
             budget,
-            admitted: Instant::now(),
+            admitted,
             reply: tx,
         };
         match self.queue.enqueue(lane, job) {
@@ -409,15 +535,7 @@ impl Shared {
                 }
                 self.rec.gauge(names::SERVER_QUEUE_DEPTH, depth as f64);
             }
-            Err((job, refusal)) => {
-                let resp = self.shed(&job.work, refusal);
-                if matches!(resp, Response::Error { .. }) {
-                    self.rec.add(names::SERVER_RESP_FAULT, 1);
-                } else {
-                    self.rec.add(names::SERVER_RESP_DEGRADED, 1);
-                }
-                return resp;
-            }
+            Err((job, refusal)) => return self.refuse(&job.work, refusal),
         }
         match rx.recv() {
             Ok(resp) => resp,
@@ -494,26 +612,7 @@ impl Shared {
             self.rec
                 .gauge(names::SERVER_QUEUE_DEPTH, self.queue.depth() as f64);
             let resp = self.run_work(&job.work, job.budget);
-            let us = job.admitted.elapsed().as_micros() as u64;
-            self.rec.observe(names::SERVER_LATENCY_US, us);
-            self.rec.observe(
-                &names::server_tenant_latency(self.queue.tenant_name(lane)),
-                us,
-            );
-            match &resp {
-                Response::Error { .. } => self.rec.add(names::SERVER_RESP_FAULT, 1),
-                Response::Estimate(e) if e.degradation.is_degraded() => {
-                    self.rec.add(names::SERVER_RESP_DEGRADED, 1)
-                }
-                Response::Batch(items)
-                    if items.iter().any(|i| {
-                        matches!(i, Ok(e) if e.degradation.is_degraded()) || i.is_err()
-                    }) =>
-                {
-                    self.rec.add(names::SERVER_RESP_DEGRADED, 1)
-                }
-                _ => {}
-            }
+            self.record_answer(lane, job.admitted, &resp);
             // A gone receiver means the connection died; nothing to do.
             let _ = job.reply.send(resp);
         }
@@ -525,7 +624,9 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
+    /// Taken (and joined) by the first shutdown.
+    accept: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -559,13 +660,23 @@ impl ServerHandle {
     /// either way.
     pub fn shutdown(mut self) -> Result<(), Fault> {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
+        // The accept loop blocks in `accept`; a connection of our own wakes
+        // it to see the flag. Should that connect fail while the loop is
+        // still parked (no descriptor left), the thread is left detached
+        // rather than hanging the drain.
+        if let Some(accept) = self.accept.take() {
+            let woken = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1)).is_ok();
+            if woken || accept.is_finished() {
+                let _ = accept.join();
+            }
+        }
         self.shared.queue.begin_drain();
         let drain_deadline = Instant::now() + Duration::from_secs(10);
         while self.shared.queue.depth() > 0 && Instant::now() < drain_deadline {
             thread::sleep(Duration::from_millis(5));
         }
         self.shared.queue.shutdown();
-        for t in self.threads.drain(..) {
+        for t in self.workers.drain(..) {
             let _ = t.join();
         }
         if let Backend::Memory { store } = &self.shared.backend {
@@ -644,76 +755,81 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, Fault> {
         );
     }
 
+    let tenant_latency = lanes
+        .iter()
+        .map(|l| names::server_tenant_latency(&l.name))
+        .collect();
     let shared = Arc::new(Shared {
         backend,
         engine,
         queue: FairQueue::new(&lanes),
         budgets,
+        tenant_latency,
         rec,
         shutting_down: AtomicBool::new(false),
         idle_timeout: Duration::from_millis(config.idle_timeout_ms),
     });
 
     let listener = TcpListener::bind(("127.0.0.1", config.port))
-        .and_then(|l| {
-            l.set_nonblocking(true)?;
-            Ok(l)
-        })
         .map_err(|e| Fault::new(tl_fault::FaultKind::Timeout, format!("bind: {e}")))?;
     let addr = listener
         .local_addr()
         .map_err(|e| Fault::new(tl_fault::FaultKind::Timeout, format!("local_addr: {e}")))?;
 
-    let workers = if config.workers == 0 {
+    let worker_count = if config.workers == 0 {
         thread::available_parallelism().map_or(4, |n| n.get())
     } else {
         config.workers
     };
-    let mut threads = Vec::with_capacity(workers + 1);
-    for i in 0..workers {
-        let shared = shared.clone();
-        threads.push(
+    let workers = (0..worker_count)
+        .map(|i| {
+            let shared = shared.clone();
             thread::Builder::new()
                 .name(format!("tl-server-worker-{i}"))
                 .spawn(move || shared.worker_loop())
-                .expect("spawn worker"),
-        );
-    }
-    {
+                .expect("spawn worker")
+        })
+        .collect();
+    let accept = {
         let shared = shared.clone();
-        threads.push(
-            thread::Builder::new()
-                .name("tl-server-accept".into())
-                .spawn(move || accept_loop(listener, shared))
-                .expect("spawn accept loop"),
-        );
-    }
+        thread::Builder::new()
+            .name("tl-server-accept".into())
+            .spawn(move || accept_loop(listener, shared))
+            .expect("spawn accept loop")
+    };
 
     Ok(ServerHandle {
         addr,
         shared,
-        threads,
+        workers,
+        accept: Some(accept),
     })
 }
 
+/// Accepts connections until shutdown, one detached handler thread each.
+/// `accept` blocks; [`ServerHandle::shutdown`] wakes it with a connection of
+/// its own once the shutdown flag is set.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
+    for conn in listener.incoming() {
         if shared.shutting_down.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match conn {
+            Ok(stream) => {
                 shared.rec.add(names::SERVER_CONNECTIONS, 1);
-                let shared = shared.clone();
-                // Connection threads are detached: they poll the
-                // shutdown flag via read timeouts and exit on their own.
-                let _ = thread::Builder::new()
+                let handler = shared.clone();
+                // Connection threads are detached: they poll the shutdown
+                // flag via read timeouts and exit on their own. A refused
+                // spawn drops the stream, closing the connection.
+                let spawned = thread::Builder::new()
                     .name("tl-server-conn".into())
-                    .spawn(move || connection_loop(stream, shared));
+                    .spawn(move || connection_loop(stream, handler));
+                if spawned.is_err() {
+                    shared.rec.add(names::SERVER_CONN_SPAWN_FAILURES, 1);
+                }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
+            // Accept failures such as descriptor exhaustion persist for a
+            // while; back off instead of spinning on them.
             Err(_) => thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -733,15 +849,35 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
         shared.rec.add(names::SERVER_SOCKOPT_ERRORS, 1);
         return;
     }
-    let mut reader = match stream.try_clone() {
+    let mut writer = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     };
-    let mut writer = stream;
+    let mut reader = BufReader::new(stream);
+    // Frame buffers reused for the connection's life (released if one
+    // oversized frame grew them).
+    let mut body = Vec::new();
+    let mut out = Vec::new();
     let mut last_activity = Instant::now();
+    // Idle deadline: shed half-open / slow-loris peers deterministically
+    // instead of holding a thread forever.
+    let idle =
+        |since: Instant| !shared.idle_timeout.is_zero() && since.elapsed() >= shared.idle_timeout;
     loop {
-        let body = match read_frame(&mut reader) {
-            Ok(body) => body,
+        // A frame that has started is read to its end: a pause inside it
+        // waits (up to the idle deadline) instead of dropping the bytes
+        // read so far.
+        let read = read_frame_into(&mut reader, &mut body, &mut |_| {
+            if shared.shutting_down.load(Ordering::SeqCst) || idle(last_activity) {
+                Err(FrameError::Corrupt(Fault::timeout(
+                    "frame stalled mid-read past the idle deadline",
+                )))
+            } else {
+                Ok(())
+            }
+        });
+        match read {
+            Ok(()) => {}
             Err(FrameError::Eof) => return,
             Err(FrameError::Io(e))
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -749,10 +885,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
                 if shared.shutting_down.load(Ordering::SeqCst) {
                     return;
                 }
-                // Idle deadline: shed half-open / slow-loris peers
-                // deterministically instead of holding a thread forever.
-                if !shared.idle_timeout.is_zero() && last_activity.elapsed() >= shared.idle_timeout
-                {
+                if idle(last_activity) {
                     shared.rec.add(names::SERVER_IDLE_CLOSED, 1);
                     return;
                 }
@@ -760,17 +893,18 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
             }
             Err(FrameError::Io(_)) => return,
             Err(FrameError::Corrupt(fault)) => {
-                // The stream cannot be resynchronized after garbage:
-                // answer the typed fault, then close.
+                // The stream cannot be resynchronized after garbage or a
+                // half-read frame: answer the typed fault, then close.
                 shared.rec.add(names::SERVER_RESP_FAULT, 1);
                 let resp = Response::fault(fault);
-                let _ = write_frame(&mut writer, &resp.encode());
+                let _ = write_frame_with(&mut writer, &mut out, |b| resp.encode_into(b));
                 return;
             }
-        };
+        }
         last_activity = Instant::now();
         let resp = shared.process(&body);
-        if write_frame(&mut writer, &resp.encode()).is_err() {
+        release_oversized(&mut body);
+        if write_frame_with(&mut writer, &mut out, |b| resp.encode_into(b)).is_err() {
             return;
         }
     }

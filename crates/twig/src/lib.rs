@@ -28,6 +28,8 @@ pub mod twig;
 pub use canonical::TwigKey;
 pub use interner::{TwigId, TwigInterner};
 pub use matcher::{count_matches, MatchCounter, MatchError, MAX_SIBLING_GROUP};
-pub use parser::{parse_twig, parse_twig_in, parse_twig_valued, TwigParseError};
+pub use parser::{
+    parse_twig, parse_twig_borrowed, parse_twig_in, parse_twig_valued, TwigParseError,
+};
 pub use reference::ReferenceMatchCounter;
 pub use twig::{Twig, TwigNodeId};

@@ -89,6 +89,50 @@ pub fn parse_twig_valued(
     .parse(&mut |name| Ok(labels.intern(name)))
 }
 
+/// Parses a twig query against a borrowed label table, leaving it untouched.
+/// Known labels keep their ids; each distinct unknown label gets the id that
+/// interning it into a clone of `labels` would give — dense from
+/// `labels.len()`, in first-occurrence order — so the twig is identical to
+/// [`parse_twig`] on a clone, without paying for the clone. Such ids name no
+/// label of the table: estimators answer them as selectivity 0.
+///
+/// ```
+/// use tl_xml::LabelInterner;
+/// use tl_twig::{parse_twig, parse_twig_borrowed};
+///
+/// let mut it = LabelInterner::new();
+/// it.intern("a");
+/// let borrowed = parse_twig_borrowed("a[x][y/x]", &it).unwrap();
+/// let cloned = parse_twig("a[x][y/x]", &mut it.clone()).unwrap();
+/// assert_eq!(borrowed, cloned);
+/// assert_eq!(it.len(), 1);
+/// ```
+pub fn parse_twig_borrowed(query: &str, labels: &LabelInterner) -> Result<Twig, TwigParseError> {
+    // Unknown names seen so far; empty (and unallocated) for the common
+    // all-known query.
+    let mut unknown: Vec<String> = Vec::new();
+    Parser {
+        input: query.as_bytes(),
+        pos: 0,
+        values: None,
+    }
+    .parse(&mut |name| {
+        if let Some(id) = labels.get(name) {
+            return Ok(id);
+        }
+        let ix = match unknown.iter().position(|u| u == name) {
+            Some(ix) => ix,
+            None => {
+                unknown.push(name.to_owned());
+                unknown.len() - 1
+            }
+        };
+        u32::try_from(labels.len() + ix)
+            .map(tl_xml::LabelId)
+            .map_err(|_| "label table overflow".to_owned())
+    })
+}
+
 /// Parses a twig query against a fixed interner. Labels that do not occur in
 /// `labels` produce an error — useful when a caller wants to reject queries
 /// that cannot possibly match a given document. (Estimators instead treat
@@ -380,6 +424,21 @@ mod tests {
         let mut it = LabelInterner::new();
         let err = parse_twig("a//b", &mut it).unwrap_err();
         assert!(err.message.contains("descendant"), "{err}");
+    }
+
+    #[test]
+    fn borrowed_parse_matches_parse_on_a_clone() {
+        let mut it = LabelInterner::new();
+        for l in ["a", "b", "c"] {
+            it.intern(l);
+        }
+        for q in ["a/b", "a[zz][b/yy][c/zz]", "q", "q[q][r/q]", "//b[c][x]"] {
+            let borrowed = parse_twig_borrowed(q, &it).unwrap();
+            let cloned = parse_twig(q, &mut it.clone()).unwrap();
+            assert_eq!(borrowed, cloned, "{q}");
+        }
+        assert_eq!(it.len(), 3, "the borrowed table is never extended");
+        assert!(parse_twig_borrowed("a[[", &it).is_err());
     }
 
     #[test]
