@@ -85,6 +85,15 @@ pub trait Catalog: PatternStore {
 
     /// Content version; equal values imply interchangeable summaries.
     fn generation(&self) -> u64;
+
+    /// Whether every label of `twig` is in this catalog's label table. A
+    /// twig parsed against the table borrowed
+    /// ([`tl_twig::parse_twig_borrowed`]) gives a label the table lacks an
+    /// id past its end, which no stored pattern can name.
+    fn knows_labels(&self, twig: &Twig) -> bool {
+        let known = self.labels().len();
+        twig.nodes().all(|n| twig.label(n).index() < known)
+    }
 }
 
 impl Catalog for TreeLattice {

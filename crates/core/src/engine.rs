@@ -68,7 +68,7 @@ use tl_xml::FxHashMap;
 use crate::catalog::Catalog;
 use crate::dag::with_root_key;
 use crate::dag::{DagStats, IdCache};
-use crate::resilient::{estimate_guarded, names_unknown_label, runs_rung_one, ResilientEstimate};
+use crate::resilient::{estimate_guarded, runs_rung_one, ResilientEstimate};
 #[cfg(doc)]
 use crate::TreeLattice;
 use crate::{EstimateOptions, Estimator};
@@ -170,9 +170,15 @@ enum CacheClass {
 }
 
 impl CacheClass {
-    /// The class of the sub-twig values `estimator`'s DAG reads and writes.
+    /// The class of the sub-twig values `estimator`'s DAG reads and writes:
+    /// the effective voting width they were computed under.
     fn sub_twig(estimator: Estimator, opts: &EstimateOptions) -> Self {
-        CacheClass::SubTwig(voting_class(estimator, opts))
+        CacheClass::SubTwig(match estimator {
+            // The inner recursion of both fix-sized estimators runs
+            // non-voting, identical to plain recursive decomposition.
+            Estimator::Recursive | Estimator::FixSized | Estimator::FixSizedVoting => 1,
+            Estimator::RecursiveVoting => opts.voting_cap.clamp(1, u32::MAX as usize) as u32,
+        })
     }
 
     /// The class a query's root answer lives in: its sub-twig class for the
@@ -308,7 +314,7 @@ impl EstimationEngine {
         estimator: Estimator,
         opts: &EstimateOptions,
     ) -> bool {
-        if names_unknown_label(catalog, twig) {
+        if !catalog.knows_labels(twig) {
             return true;
         }
         let k = catalog.max_size();
@@ -585,16 +591,6 @@ impl EstimationEngine {
     /// uniformly spread by first-sighting order.
     fn shard_for_id(&self, id: TwigId) -> &RwLock<Shard> {
         &self.shards[(id as usize) & self.mask]
-    }
-}
-
-/// The effective voting width a cached estimate was computed under.
-pub(crate) fn voting_class(estimator: Estimator, opts: &EstimateOptions) -> u32 {
-    match estimator {
-        // The inner recursion of both fix-sized estimators runs non-voting,
-        // identical to plain recursive decomposition (width 1).
-        Estimator::Recursive | Estimator::FixSized | Estimator::FixSizedVoting => 1,
-        Estimator::RecursiveVoting => opts.voting_cap.clamp(1, u32::MAX as usize) as u32,
     }
 }
 

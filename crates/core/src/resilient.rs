@@ -75,7 +75,7 @@ pub(crate) fn estimate_guarded<C: Catalog + ?Sized, K: IdCache>(
     cache: &mut K,
     ladder: bool,
 ) -> Option<(ResilientEstimate, Option<(usize, DagStats)>)> {
-    if names_unknown_label(catalog, twig) {
+    if !catalog.knows_labels(twig) {
         return None;
     }
     let budget = ladder.then_some(opts.budget);
@@ -91,13 +91,6 @@ pub(crate) fn estimate_guarded<C: Catalog + ?Sized, K: IdCache>(
         ResilientEstimate::exact(rung1().expect(UNBUDGETED))
     };
     Some((est, dag))
-}
-
-/// True when `twig` names a label `catalog` never saw (an id past its
-/// table, as a borrowed-table parse assigns): no pattern can match it.
-pub(crate) fn names_unknown_label<C: Catalog + ?Sized>(catalog: &C, twig: &Twig) -> bool {
-    let known = catalog.labels().len();
-    twig.nodes().any(|n| twig.label(n).index() >= known)
 }
 
 /// Whether the ladder runs rung 1 at all: a `max_k` budget below the

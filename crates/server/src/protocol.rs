@@ -173,14 +173,14 @@ impl Response {
 
 /// Frame buffers grown past this capacity are released after use, so one
 /// oversized frame does not pin its memory for the rest of a connection.
-pub const FRAME_BUF_KEEP: usize = 64 << 10;
+pub(crate) const FRAME_BUF_KEEP: usize = 64 << 10;
 
 /// Writes one frame (`len | body | checksum`) to `w` with a single
 /// `write_all`, so a `TCP_NODELAY` socket sends it as one segment rather
 /// than three. `encode` appends the body to `buf`, a caller-owned scratch
 /// buffer reused across frames (cleared first; released afterwards if it
 /// grew past [`FRAME_BUF_KEEP`]).
-pub fn write_frame_with(
+pub(crate) fn write_frame_with(
     w: &mut impl Write,
     buf: &mut Vec<u8>,
     encode: impl FnOnce(&mut Vec<u8>),
@@ -206,7 +206,7 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
 
 /// Drops a scratch buffer's allocation once it has grown past
 /// [`FRAME_BUF_KEEP`].
-pub fn release_oversized(buf: &mut Vec<u8>) {
+pub(crate) fn release_oversized(buf: &mut Vec<u8>) {
     if buf.capacity() > FRAME_BUF_KEEP {
         *buf = Vec::new();
     }
@@ -244,7 +244,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
 /// the read with that error. Either way no byte of a started frame is
 /// dropped, so a pause inside a frame can never shift the stream onto a
 /// false length prefix.
-pub fn read_frame_into(
+pub(crate) fn read_frame_into(
     r: &mut impl Read,
     body: &mut Vec<u8>,
     stalled: &mut dyn FnMut(io::Error) -> Result<(), FrameError>,
@@ -493,7 +493,7 @@ impl Request {
     }
 
     /// Appends the encoded request body to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         let mut enc = Enc(out);
         match self {
             Request::Estimate {
@@ -604,7 +604,7 @@ impl Response {
     }
 
     /// Appends the encoded response body to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         let mut enc = Enc(out);
         enc.u8(self.status());
         match self {

@@ -54,7 +54,6 @@ use tl_fault::{Budget, Degradation, Fault};
 use tl_obs::{names, MetricsRecorder, Recorder};
 use tl_twig::canonical::key_of;
 use tl_twig::{parse_twig_borrowed, Twig, TwigParseError};
-use tl_xml::LabelInterner;
 use treelattice::{
     markov_estimate, Catalog, DurabilityPolicy, DurableLattice, DurableOptions, EngineConfig,
     EstimateOptions, EstimationEngine, Estimator, Lookup, MmapCatalog, PatternStore,
@@ -258,11 +257,13 @@ impl Backend {
             Backend::Memory { store } => {
                 let guard = store.read();
                 let lattice = guard.tuned().lattice();
-                knows_every_label(lattice.labels(), twig)
+                lattice
+                    .knows_labels(twig)
                     .then(|| lattice.summary().stored(&key_of(twig)))
                     .flatten()
             }
-            Backend::Mmap { catalog } => knows_every_label(catalog.labels(), twig)
+            Backend::Mmap { catalog } => catalog
+                .knows_labels(twig)
                 .then(|| match catalog.lookup_bytes(key_of(twig).as_bytes()) {
                     Lookup::Exact(c) => Some(c),
                     Lookup::Derivable | Lookup::TooLarge => None,
@@ -279,7 +280,7 @@ impl Backend {
                 // The summary cannot hold a count for a label it lacks; the
                 // id such a label parsed to names nothing, so storing under
                 // it would alias every other unknown label.
-                if !knows_every_label(guard.tuned().lattice().labels(), twig) {
+                if !guard.tuned().lattice().knows_labels(twig) {
                     return Response::usage(Fault::parse(
                         "update names a label the summary does not contain",
                     ));
@@ -307,12 +308,6 @@ impl Backend {
             )),
         }
     }
-}
-
-/// Whether every label of `twig` is in `labels` (a borrowed-table parse
-/// gives unknown labels ids past the table).
-fn knows_every_label(labels: &LabelInterner, twig: &Twig) -> bool {
-    twig.nodes().all(|n| twig.label(n).index() < labels.len())
 }
 
 /// The estimate options of a served request: defaults under its budget.
