@@ -5,9 +5,9 @@
 //! measurable on this implementation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use tl_bench::trie::trie_of_summary;
 use tl_datagen::{Dataset, GenConfig};
 use tl_twig::TwigKey;
-use treelattice::trie::trie_of_summary;
 use treelattice::{BuildConfig, TreeLattice};
 
 fn bench_lookup(c: &mut Criterion) {

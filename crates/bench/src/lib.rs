@@ -28,6 +28,7 @@ pub mod gate_runner;
 pub mod gates;
 pub mod golden;
 pub mod report;
+pub mod trie;
 
 pub use config::ExpConfig;
 pub use report::{write_csv, Table};

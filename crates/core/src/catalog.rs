@@ -172,11 +172,11 @@ struct Mapping {
 mod mmap_ffi {
     use std::os::raw::{c_int, c_void};
 
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 2;
+    pub(super) const PROT_READ: c_int = 1;
+    pub(super) const MAP_PRIVATE: c_int = 2;
 
     extern "C" {
-        pub fn mmap(
+        pub(super) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: c_int,
@@ -184,7 +184,7 @@ mod mmap_ffi {
             fd: c_int,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub(super) fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
 }
 
@@ -645,6 +645,35 @@ mod tests {
                 let from_mmap = estimate_query(&mmap, q, est);
                 assert_eq!(want.to_bits(), from_file.to_bits(), "{est} {q} (file)");
                 assert_eq!(want.to_bits(), from_mmap.to_bits(), "{est} {q} (mmap)");
+            }
+        }
+    }
+
+    /// Explain and the interval are views over the same DAG on every
+    /// backend: the mmap catalog renders the in-memory summary's trace and
+    /// interval bits, on complete and pruned frames alike.
+    #[test]
+    fn explain_and_interval_agree_across_backends() {
+        let full = sample_lattice();
+        let mut pruned = full.clone();
+        pruned.prune(0.0);
+        for (name, lat) in [("full.tlat", &full), ("pruned.tlat", &pruned)] {
+            let path = write_lattice(lat, name);
+            let mmap = MmapCatalog::open(&path).unwrap();
+            for q in ["r/a[b][c]", "r[a[b]][d/a/c]", "r[a[b][c]][a/b][d]", "d/a/c"] {
+                let twig = lat.parse_query(q).unwrap();
+                let want = crate::explain(lat.summary(), lat.labels(), &twig);
+                let got = crate::explain(&mmap, mmap.labels(), &twig);
+                assert_eq!(want, got, "{name} {q}");
+                let want = crate::estimate_interval(lat.summary(), &twig);
+                let got = crate::estimate_interval(&mmap, &twig);
+                for (w, g) in [
+                    (want.low, got.low),
+                    (want.estimate, got.estimate),
+                    (want.high, got.high),
+                ] {
+                    assert_eq!(w.to_bits(), g.to_bits(), "{name} {q}");
+                }
             }
         }
     }

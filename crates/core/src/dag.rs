@@ -46,13 +46,20 @@
 //! store probe without touching the arenas at all.
 //!
 //! The evaluator is generic over [`PatternStore`], so the same DAG runs
-//! against the in-memory summary, the eager file catalog, or the zero-copy
-//! mmap catalog (see [`crate::catalog`]).
+//! against the in-memory summary or the zero-copy mmap catalog (see
+//! [`crate::catalog`]).
+//!
+//! Besides estimates, the DAG has two read-only views built by
+//! [`expand_view`]: [`crate::explain()`] renders the width-1 DAG as the
+//! recursive estimator's trace, and [`crate::estimate_interval`] runs a
+//! min/max pass over the full-width DAG's pair triples.
+
+use std::ops::Range;
 
 use tl_fault::{Budget, Fault};
 use tl_twig::canonical::{decode_bytes_into, key_of, KeyEncoder};
 use tl_twig::ops::{decompose_pair_into, fixed_cover_with, removable_pairs_into, CoverStrategy};
-use tl_twig::{Twig, TwigId, TwigInterner, TwigNodeId};
+use tl_twig::{Twig, TwigId, TwigInterner, TwigKey, TwigNodeId};
 use tl_xml::{FxHashMap, LabelId};
 
 use crate::catalog::PatternStore;
@@ -134,21 +141,16 @@ pub(crate) const UNBUDGETED: &str = "unbudgeted estimation cannot fault";
 /// of its key bytes.
 const ENTRY_OVERHEAD: u64 = 32;
 
-enum State {
-    Resolved(f64),
-    /// Awaiting bottom-up evaluation; the fields slice this node's operand
-    /// triples out of the shared pair arena.
-    Pending {
-        first_pair: u32,
-        n_pairs: u32,
-    },
-}
-
-/// One distinct sub-twig: its interned id, node count, and resolution state.
+/// One distinct sub-twig: its interned id, node count, its slice of operand
+/// triples in the shared pair arena (empty when the cache or store answered
+/// it), and its value once resolved. The slice outlives resolution, so the
+/// views can walk a fully evaluated DAG.
 struct DagNode {
     id: TwigId,
     size: u32,
-    state: State,
+    first_pair: u32,
+    n_pairs: u32,
+    value: Option<f64>,
 }
 
 /// The pooled arena storage behind a [`DagEvaluator`]: node and pair
@@ -326,36 +328,39 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
     ) -> Result<u32, Fault> {
         let ix = u32::try_from(self.scratch.nodes.len()).expect("DAG node arena overflow");
         let size = (bytes.len() / 6) as u32;
-        let state = if let Some(v) = cached {
-            State::Resolved(v)
+        let value = if let Some(v) = cached {
+            Some(v)
         } else {
             match self.store.lookup_bytes(bytes) {
                 Lookup::Exact(c) => {
                     let v = c as f64;
                     self.cache_store(id, bytes.len(), v)?;
-                    State::Resolved(v)
+                    Some(v)
                 }
                 Lookup::Derivable | Lookup::TooLarge => {
                     if size <= 2 {
                         // Levels 1–2 are never pruned; reaching here means
                         // the store genuinely lacks the pattern.
                         self.cache_store(id, bytes.len(), 0.0)?;
-                        State::Resolved(0.0)
+                        Some(0.0)
                     } else {
                         let mut twig = self.pooled_twig();
                         decode_bytes_into(bytes, &mut twig);
                         self.scratch.build_stack.push((ix, depth, twig));
                         self.scratch.pending.push(ix);
-                        // Placeholder; `expand` fills the pair slice in.
-                        State::Pending {
-                            first_pair: 0,
-                            n_pairs: 0,
-                        }
+                        // Pending; `expand` fills the pair slice in.
+                        None
                     }
                 }
             }
         };
-        self.scratch.nodes.push(DagNode { id, size, state });
+        self.scratch.nodes.push(DagNode {
+            id,
+            size,
+            first_pair: 0,
+            n_pairs: 0,
+            value,
+        });
         self.scratch.index.insert(id, ix);
         Ok(ix)
     }
@@ -398,10 +403,9 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
         self.scratch.rm_nodes = rm_nodes;
         self.scratch.rm_pairs = rm_pairs;
         expanded?;
-        self.scratch.nodes[ix as usize].state = State::Pending {
-            first_pair,
-            n_pairs: n as u32,
-        };
+        let node = &mut self.scratch.nodes[ix as usize];
+        node.first_pair = first_pair;
+        node.n_pairs = n as u32;
         Ok(())
     }
 
@@ -440,13 +444,9 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
         }
         for i in 0..self.scratch.order.len() {
             let ix = self.scratch.order[i];
-            let (first, n) = match self.scratch.nodes[ix as usize].state {
-                State::Pending {
-                    first_pair,
-                    n_pairs,
-                } => (first_pair as usize, n_pairs as usize),
-                State::Resolved(_) => unreachable!("pending list holds only pending nodes"),
-            };
+            let node = &self.scratch.nodes[ix as usize];
+            assert!(node.value.is_none(), "pending node resolved twice");
+            let (first, n) = (node.first_pair as usize, node.n_pairs as usize);
             let mut sum = 0.0;
             let mut cnt = 0usize;
             for p in first..first + n {
@@ -469,7 +469,7 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
             }
             let value = if cnt == 0 { 0.0 } else { sum / cnt as f64 };
             let node = &mut self.scratch.nodes[ix as usize];
-            node.state = State::Resolved(value);
+            node.value = Some(value);
             let (id, key_bytes) = (node.id, node.size as usize * 6);
             self.cache_store(id, key_bytes, value)?;
         }
@@ -478,10 +478,9 @@ impl<'a, 's, 'c, C: IdCache, S: PatternStore + ?Sized> DagEvaluator<'a, 's, 'c, 
     }
 
     fn resolved(&self, ix: u32) -> f64 {
-        match self.scratch.nodes[ix as usize].state {
-            State::Resolved(v) => v,
-            State::Pending { .. } => unreachable!("operand evaluated before its dependent"),
-        }
+        self.scratch.nodes[ix as usize]
+            .value
+            .expect("operand evaluated before its dependent")
     }
 }
 
@@ -613,6 +612,56 @@ pub(crate) fn estimate_fixed_at_dag<S: PatternStore + ?Sized>(
             CoverStrategy::AncestorsFirst,
             k,
         )
+    })
+}
+
+/// One node of a [`DagView`]: its canonical key, its value, and its slice
+/// of `pairs` (empty when the store answered it directly).
+pub(crate) struct ViewNode {
+    pub(crate) key: TwigKey,
+    pub(crate) value: f64,
+    pub(crate) pairs: Range<usize>,
+}
+
+/// A fully evaluated DAG copied out of the pooled arenas: `nodes` in
+/// first-reference order (the root is node 0), one `[t1, t2, t12]` node
+/// triple per taken pair, and `order` by (size, creation index), in which
+/// every operand precedes the nodes it decomposes.
+pub(crate) struct DagView {
+    pub(crate) nodes: Vec<ViewNode>,
+    pub(crate) pairs: Vec<[u32; 3]>,
+    pub(crate) order: Vec<u32>,
+}
+
+/// Expands and evaluates `twig` at voting width `cap` (1 is the plain
+/// recursive estimator, `usize::MAX` full voting) and hands back the whole
+/// DAG. It runs on a fresh per-query cache, never a shared one, so every
+/// sub-twig the store cannot answer decomposes and keeps its pairs.
+pub(crate) fn expand_view<S: PatternStore + ?Sized>(store: &S, twig: &Twig, cap: usize) -> DagView {
+    let mut cache = LocalIdCache::default();
+    with_dag_scratch(|scratch| {
+        DagEvaluator::new(store, &mut cache, true, cap, None, scratch)
+            .eval_twig(twig)
+            .expect(UNBUDGETED);
+        let nodes: Vec<ViewNode> = scratch
+            .nodes
+            .iter()
+            .map(|n| {
+                let first = n.first_pair as usize;
+                ViewNode {
+                    key: cache.interner.resolve(n.id).clone(),
+                    value: n.value.expect("evaluation resolves every node"),
+                    pairs: first..first + n.n_pairs as usize,
+                }
+            })
+            .collect();
+        let mut order: Vec<u32> = (0..nodes.len() as u32).collect();
+        order.sort_unstable_by_key(|&ix| (scratch.nodes[ix as usize].size, ix));
+        DagView {
+            nodes,
+            pairs: scratch.pairs.clone(),
+            order,
+        }
     })
 }
 
@@ -834,6 +883,32 @@ mod tests {
             ],
             2,
         )
+    }
+
+    /// The view keeps every decomposed node's pair slice after it
+    /// resolves, its size order puts every operand before its dependents,
+    /// and its root is the kernel's estimate at the same width.
+    #[test]
+    fn view_keeps_pairs_after_resolution() {
+        let (s, mut it) = markov_chain_summary();
+        let t = q(&mut it, "a/b/c/d");
+        let view = expand_view(&s, &t, 1);
+        assert_eq!(view.nodes.len(), 8, "same DAG as the pinned estimate");
+        let decomposed = view.nodes.iter().filter(|n| !n.pairs.is_empty());
+        assert_eq!(decomposed.count(), 3, "abcd, bcd and abc");
+        let mut rank = vec![0; view.nodes.len()];
+        for (r, &ix) in view.order.iter().enumerate() {
+            rank[ix as usize] = r;
+        }
+        for (ix, node) in view.nodes.iter().enumerate() {
+            for triple in &view.pairs[node.pairs.clone()] {
+                assert!(triple.iter().all(|&op| rank[op as usize] < rank[ix]));
+            }
+        }
+        let mut cache = LocalIdCache::default();
+        let opts = EstimateOptions::default();
+        let (want, _, _) = plain(&s, &t, Estimator::Recursive, &opts, &mut cache);
+        assert_eq!(view.nodes[0].value.to_bits(), want.to_bits());
     }
 
     /// A memory trip in the middle of a DAG build leaves the thread's

@@ -5,35 +5,38 @@
 //! conditional-independence formula was applied, and what each step
 //! contributed. Invaluable when an estimate looks off: the trace points at
 //! the exact overlap whose correlation broke the assumption.
+//!
+//! The trace is a rendering of the width-1 decomposition DAG (see
+//! `dag.rs`): every distinct sub-twig is expanded once, and later
+//! references to it print `(see above)`, so the trace grows with the
+//! number of distinct sub-twigs rather than with the recursion tree.
 
 use std::fmt::Write as _;
 
-use tl_twig::canonical::key_of;
-use tl_twig::ops::{decompose_pair, removable_pairs};
 use tl_twig::Twig;
 use tl_xml::LabelInterner;
 
-use crate::estimator::{estimate, EstimateOptions, Estimator};
+use crate::catalog::PatternStore;
+use crate::dag::expand_view;
 use crate::interval::estimate_interval;
-use crate::summary::{Lookup, Summary};
+use crate::summary::Lookup;
 
-/// Renders the recursive-decomposition trace of `twig` against `summary`.
+/// Renders the recursive-decomposition trace of `twig` against any pattern
+/// store; `labels` is the table its keys are encoded against.
 ///
 /// The trace follows the plain recursive estimator (first removable pair
-/// at each step); the header additionally reports the voting estimate and
-/// the decomposition-disagreement interval.
-pub fn explain(summary: &Summary, labels: &LabelInterner, twig: &Twig) -> String {
+/// at each step), with operands in canonical form; the header additionally
+/// reports the voting estimate and the decomposition-disagreement interval.
+pub fn explain<S: PatternStore + ?Sized>(store: &S, labels: &LabelInterner, twig: &Twig) -> String {
+    let view = expand_view(store, twig, 1);
+    let iv = estimate_interval(store, twig);
     let mut out = String::new();
-    let opts = EstimateOptions::default();
-    let point = estimate(summary, twig, Estimator::Recursive, &opts);
-    let vote = estimate(summary, twig, Estimator::RecursiveVoting, &opts);
-    let iv = estimate_interval(summary, twig);
     let _ = writeln!(
         out,
         "query: {}\nrecursive = {:.3}   voting = {:.3}   spread = [{:.3}, {}]",
         twig.to_query_string(labels),
-        point,
-        vote,
+        view.nodes[0].value,
+        iv.estimate,
         iv.low,
         if iv.high.is_finite() {
             format!("{:.3}", iv.high)
@@ -41,40 +44,40 @@ pub fn explain(summary: &Summary, labels: &LabelInterner, twig: &Twig) -> String
             "inf".to_owned()
         },
     );
-    render(summary, labels, twig, 0, &mut out);
-    out
-}
-
-fn render(summary: &Summary, labels: &LabelInterner, twig: &Twig, depth: usize, out: &mut String) {
-    let indent = "  ".repeat(depth);
-    let query = twig.to_query_string(labels);
-    let key = key_of(twig);
-    match summary.lookup(&key) {
-        Lookup::Exact(c) => {
-            let _ = writeln!(out, "{indent}{query} = {c}  (stored, exact)");
-        }
-        Lookup::Derivable | Lookup::TooLarge if twig.len() <= 2 => {
-            let _ = writeln!(out, "{indent}{query} = 0  (absent from complete level)");
-        }
-        source @ (Lookup::Derivable | Lookup::TooLarge) => {
-            let why = match source {
-                Lookup::TooLarge => "larger than the summary order",
-                _ => "pruned as derivable",
-            };
-            let opts = EstimateOptions::default();
-            let value = estimate(summary, twig, Estimator::Recursive, &opts);
-            let canonical = key.decode();
-            let (u, v) = removable_pairs(&canonical)[0];
-            let d = decompose_pair(&canonical, u, v);
-            let _ = writeln!(
-                out,
-                "{indent}{query} ~= {value:.3}  ({why}; s(T1)*s(T2)/s(T12) with)"
-            );
-            render(summary, labels, &d.t1, depth + 1, out);
-            render(summary, labels, &d.t2, depth + 1, out);
-            render(summary, labels, &d.t12, depth + 1, out);
+    let mut expanded = vec![false; view.nodes.len()];
+    // Depth-first from the root, operands in `t1, t2, t12` order.
+    let mut stack = vec![(0u32, 0usize)];
+    while let Some((ix, depth)) = stack.pop() {
+        let node = &view.nodes[ix as usize];
+        let indent = "  ".repeat(depth);
+        let query = node.key.decode().to_query_string(labels);
+        match store.lookup_bytes(node.key.as_bytes()) {
+            Lookup::Exact(c) => {
+                let _ = writeln!(out, "{indent}{query} = {c}  (stored, exact)");
+            }
+            _ if node.key.node_count() <= 2 => {
+                let _ = writeln!(out, "{indent}{query} = 0  (absent from complete level)");
+            }
+            _ if expanded[ix as usize] => {
+                let _ = writeln!(out, "{indent}{query} ~= {:.3}  (see above)", node.value);
+            }
+            source => {
+                expanded[ix as usize] = true;
+                let why = match source {
+                    Lookup::TooLarge => "larger than the summary order",
+                    _ => "pruned as derivable",
+                };
+                let _ = writeln!(
+                    out,
+                    "{indent}{query} ~= {:.3}  ({why}; s(T1)*s(T2)/s(T12) with)",
+                    node.value
+                );
+                let [t1, t2, t12] = view.pairs[node.pairs.start];
+                stack.extend([(t12, depth + 1), (t2, depth + 1), (t1, depth + 1)]);
+            }
         }
     }
+    out
 }
 
 #[cfg(test)]
@@ -126,6 +129,30 @@ mod tests {
             text.contains("absent from complete level") || text.contains("= 0  (stored, exact)"),
             "{text}"
         );
+    }
+
+    /// The trace grows with the distinct sub-twigs, not the recursion
+    /// tree: a 16-node chain over a k=2 summary has 105 decomposed
+    /// sub-chains, so 318 lines, where rendering every recursion path
+    /// prints hundreds of thousands.
+    #[test]
+    fn long_chains_expand_each_subtwig_once() {
+        let names: Vec<String> = (0..16).map(|i| format!("n{i}")).collect();
+        let mut xml = String::new();
+        for n in &names {
+            xml.push_str(&format!("<{n}>"));
+        }
+        for n in names.iter().rev() {
+            xml.push_str(&format!("</{n}>"));
+        }
+        let doc = parse_document(xml.as_bytes(), ParseOptions::default()).unwrap();
+        let lat = TreeLattice::build(&doc, &BuildConfig::with_k(2));
+        let q = lat.parse_query(&names.join("/")).unwrap();
+        let text = explain(lat.summary(), lat.labels(), &q);
+        let lines = text.lines().count();
+        assert!(lines <= 400, "{lines} lines");
+        assert!(text.contains("(see above)"), "{text}");
+        assert!(text.contains("recursive = 1.000"), "{text}");
     }
 
     #[test]

@@ -2,31 +2,31 @@
 //!
 //! The paper's future-work list (§6) asks for "an error bound associated
 //! with the estimation". This module provides the natural bound available
-//! *within* the decomposition framework: at every recursion node the
+//! *within* the decomposition framework: at every decomposed node the
 //! voting candidates (one per removable pair) generally disagree, and the
-//! spread of their values — propagated through the recursion with interval
-//! arithmetic — measures how far the conditional-independence assumption
-//! is being stretched for this particular query.
+//! spread of their values — propagated up the decomposition DAG with
+//! interval arithmetic — measures how far the conditional-independence
+//! assumption is being stretched for this particular query.
 //!
 //! The returned interval is a *heuristic diagnostic*, not a probabilistic
 //! guarantee: a width of zero means every decomposition order agrees (on
 //! perfectly regular data the estimate is then typically exact), while a
 //! wide interval flags queries whose estimate should not be trusted. The
-//! midpoint reproduces the voting estimator exactly.
+//! interval is a min/max pass over the full-width DAG the voting estimator
+//! evaluates (see `dag.rs`), so the midpoint *is* the voting
+//! estimate.
 
-use tl_twig::canonical::key_of;
-use tl_twig::ops::{decompose_pair, removable_pairs};
-use tl_twig::{Twig, TwigKey};
-use tl_xml::FxHashMap;
+use tl_twig::Twig;
 
-use crate::summary::{Lookup, Summary};
+use crate::catalog::PatternStore;
+use crate::dag::expand_view;
 
 /// A point estimate with a decomposition-disagreement interval around it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IntervalEstimate {
     /// Smallest value any decomposition order produces.
     pub low: f64,
-    /// The voting estimate (average over pairs at each recursion node).
+    /// The voting estimate (average over pairs at each decomposed node).
     pub estimate: f64,
     /// Largest value any decomposition order produces; `f64::INFINITY`
     /// when some order divides by a vanishing overlap estimate.
@@ -56,87 +56,51 @@ impl IntervalEstimate {
     }
 }
 
-/// Computes the interval estimate of `twig` against `summary`.
-pub fn estimate_interval(summary: &Summary, twig: &Twig) -> IntervalEstimate {
-    let mut memo: FxHashMap<TwigKey, IntervalEstimate> = FxHashMap::default();
-    interval_key(summary, &key_of(twig), &mut memo)
-}
-
-fn interval_key(
-    summary: &Summary,
-    key: &TwigKey,
-    memo: &mut FxHashMap<TwigKey, IntervalEstimate>,
-) -> IntervalEstimate {
-    if let Some(&v) = memo.get(key) {
-        return v;
-    }
-    let value = match summary.lookup(key) {
-        Lookup::Exact(c) => IntervalEstimate::point(c as f64),
-        Lookup::Derivable | Lookup::TooLarge => {
-            let twig = key.decode();
-            if twig.len() <= 2 {
-                IntervalEstimate::point(0.0)
-            } else {
-                decompose_interval(summary, &twig, memo)
-            }
+/// Computes the interval estimate of `twig` against any pattern store.
+pub fn estimate_interval<S: PatternStore + ?Sized>(store: &S, twig: &Twig) -> IntervalEstimate {
+    let view = expand_view(store, twig, usize::MAX);
+    let mut ivs = vec![IntervalEstimate::point(0.0); view.nodes.len()];
+    // Size order: every operand's interval is final before it is read.
+    for &ix in &view.order {
+        let node = &view.nodes[ix as usize];
+        let estimate = node.value;
+        if node.pairs.is_empty() {
+            ivs[ix as usize] = IntervalEstimate::point(estimate);
+            continue;
         }
-    };
-    memo.insert(key.clone(), value);
-    value
-}
-
-fn decompose_interval(
-    summary: &Summary,
-    twig: &Twig,
-    memo: &mut FxHashMap<TwigKey, IntervalEstimate>,
-) -> IntervalEstimate {
-    let pairs = removable_pairs(twig);
-    debug_assert!(!pairs.is_empty());
-    let mut low = f64::INFINITY;
-    let mut high: f64 = 0.0;
-    let mut mid_sum = 0.0;
-    let mut n = 0usize;
-    for &(u, v) in &pairs {
-        let d = decompose_pair(twig, u, v);
-        let i1 = interval_key(summary, &key_of(&d.t1), memo);
-        let i2 = interval_key(summary, &key_of(&d.t2), memo);
-        let i12 = interval_key(summary, &key_of(&d.t12), memo);
-        // Point part (matches the voting estimator's arithmetic exactly).
-        let mid = if i1.estimate > 0.0 && i2.estimate > 0.0 && i12.estimate > 0.0 {
-            i1.estimate * i2.estimate / i12.estimate
-        } else {
-            0.0
+        let mut low = f64::INFINITY;
+        let mut high: f64 = 0.0;
+        for &[a, b, c] in &view.pairs[node.pairs.clone()] {
+            let (i1, i2, i12) = (ivs[a as usize], ivs[b as usize], ivs[c as usize]);
+            // Product of lows over the largest overlap, and product of
+            // highs over the smallest overlap.
+            let pair_low = if i12.high > 0.0 {
+                i1.low * i2.low / i12.high
+            } else {
+                0.0
+            };
+            let pair_high = if i1.high == 0.0 || i2.high == 0.0 {
+                0.0
+            } else if i12.low > 0.0 {
+                i1.high * i2.high / i12.low
+            } else {
+                f64::INFINITY
+            };
+            low = low.min(pair_low);
+            high = high.max(pair_high);
+        }
+        if low > high {
+            // All pairs degenerate (e.g. every branch zero).
+            low = estimate;
+            high = estimate;
+        }
+        ivs[ix as usize] = IntervalEstimate {
+            low: low.min(estimate),
+            estimate,
+            high: high.max(estimate),
         };
-        mid_sum += mid;
-        n += 1;
-        // Interval part: product of lows over the largest overlap, and
-        // product of highs over the smallest overlap.
-        let pair_low = if i12.high > 0.0 {
-            i1.low * i2.low / i12.high
-        } else {
-            0.0
-        };
-        let pair_high = if i1.high == 0.0 || i2.high == 0.0 {
-            0.0
-        } else if i12.low > 0.0 {
-            i1.high * i2.high / i12.low
-        } else {
-            f64::INFINITY
-        };
-        low = low.min(pair_low);
-        high = high.max(pair_high);
     }
-    let estimate = if n == 0 { 0.0 } else { mid_sum / n as f64 };
-    if low > high {
-        // All pairs degenerate (e.g. every branch zero).
-        low = estimate;
-        high = estimate;
-    }
-    IntervalEstimate {
-        low: low.min(estimate),
-        estimate,
-        high: high.max(estimate),
-    }
+    ivs[0]
 }
 
 #[cfg(test)]
@@ -187,8 +151,9 @@ mod tests {
                 Estimator::RecursiveVoting,
                 &EstimateOptions::default(),
             );
-            assert!(
-                (iv.estimate - vote).abs() < 1e-9,
+            assert_eq!(
+                iv.estimate.to_bits(),
+                vote.to_bits(),
                 "{q}: interval mid {} vs voting {vote}",
                 iv.estimate
             );

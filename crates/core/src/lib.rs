@@ -44,8 +44,7 @@
 //!   estimator);
 //! * [`serialize`] — versioned binary persistence of summaries;
 //! * [`catalog`] — swappable pattern-store backends: the in-memory lattice
-//!   and a zero-copy mmap reader serving lookups from frame bytes;
-//! * [`trie`] — a prefix-tree summary store kept for the §4.2 ablation.
+//!   and a zero-copy mmap reader serving lookups from frame bytes.
 
 pub mod catalog;
 pub(crate) mod dag;
@@ -58,7 +57,6 @@ pub mod pruning;
 pub mod resilient;
 pub mod serialize;
 pub mod summary;
-pub mod trie;
 pub mod wal;
 
 use tl_miner::{mine_with_index_budgeted, MineConfig};

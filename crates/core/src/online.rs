@@ -27,7 +27,6 @@ use tl_twig::canonical::key_of;
 use tl_twig::{Twig, TwigKey};
 use tl_xml::FxHashMap;
 
-use crate::estimator::{estimate, EstimateOptions, Estimator};
 use crate::TreeLattice;
 
 /// Statistics of the tuning loop.
@@ -184,26 +183,11 @@ impl TunedLattice {
     }
 }
 
-/// Re-derivation error of a stored pattern if it were removed — exposed
-/// for tooling that wants smarter-than-cold eviction (evict the most
-/// derivable first).
-pub fn derivation_error(lattice: &TreeLattice, key: &TwigKey) -> Option<f64> {
-    let stored = lattice.summary().stored(key)?;
-    let mut reduced = lattice.summary().clone();
-    reduced.remove(key);
-    let est = estimate(
-        &reduced,
-        &key.decode(),
-        Estimator::Recursive,
-        &EstimateOptions::default(),
-    );
-    Some((est - stored as f64).abs() / (stored as f64).max(1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use tl_xml::{parse_document, ParseOptions};
 
+    use crate::estimator::{EstimateOptions, Estimator};
     use crate::BuildConfig;
 
     use super::*;
@@ -322,30 +306,5 @@ mod tests {
         // from the corrected summary, not its cache.
         let after = engine.estimate(tuned.lattice(), &q, Estimator::Recursive, &opts);
         assert_eq!(after, truth as f64);
-    }
-
-    #[test]
-    fn derivation_error_identifies_derivable_patterns() {
-        // Perfectly independent data: the joint pattern is fully derivable.
-        let mut s = String::from("<r>");
-        for _ in 0..6 {
-            s.push_str("<a><b/><c/></a>");
-        }
-        s.push_str("</r>");
-        let doc = parse_document(s.as_bytes(), ParseOptions::default()).unwrap();
-        let lattice = TreeLattice::build(&doc, &BuildConfig::with_k(3));
-        let q = lattice.parse_query("a[b][c]").unwrap();
-        let key = key_of(&q);
-        let err = derivation_error(&lattice, &key).unwrap();
-        assert!(
-            err < 1e-9,
-            "independent joint pattern should be derivable: {err}"
-        );
-        let missing = key_of(&lattice.parse_query("r/a/b").unwrap());
-        let mut reduced = lattice.summary().clone();
-        reduced.remove(&missing);
-        // derivation_error on an absent key is None.
-        let other = TreeLattice::from_parts(lattice.labels().clone(), reduced);
-        assert!(derivation_error(&other, &missing).is_none());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A [`Summary`] stores the occurrence counts of small twig patterns in
 //! per-level hash tables (the paper found hash tables beat prefix trees for
-//! this workload, §4.2; we keep a trie alternative in
-//! [`crate::trie`] to benchmark the claim). Levels 1 and 2 are always
+//! this workload, §4.2; the `tl-bench` crate keeps a trie alternative to
+//! benchmark the claim). Levels 1 and 2 are always
 //! complete; higher levels may be *pruned* (δ-derivable patterns removed,
 //! §4.3), which changes the meaning of a lookup miss:
 //!

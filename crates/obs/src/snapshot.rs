@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use crate::json::{self, Json, JsonError};
 
 /// Schema identifier written into every snapshot.
-pub const SCHEMA: &str = "tl-metrics/1";
+pub(crate) const SCHEMA: &str = "tl-metrics/1";
 
 /// A captured histogram: total observation count, saturating sum, and the
 /// non-empty buckets as `(inclusive lower bound, count)` pairs in

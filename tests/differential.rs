@@ -215,8 +215,8 @@ fn pooled_scratch_matches_reference_back_to_back() {
 }
 
 /// Mined summaries — unpruned and δ-pruned, so pruned-level misses
-/// re-derive — under every estimator, a capped voting width, and the
-/// fix-sized cover at an explicit smaller `k`.
+/// re-derive — under every estimator, a capped voting width, the fix-sized
+/// cover at an explicit smaller `k`, and the interval's midpoint.
 #[test]
 fn kernel_matches_reference_on_seeded_corpora() {
     let seeds = seeds_from_env("TL_ORACLE_SEED", DEFAULT_SEEDS);
@@ -253,6 +253,21 @@ fn kernel_matches_reference_on_seeded_corpora() {
                             compared += 1;
                         }
                     }
+                    // The interval's midpoint is the full-width DAG's root:
+                    // the voting estimate, bit for bit.
+                    let want = reference::estimate(
+                        s,
+                        t,
+                        Estimator::RecursiveVoting,
+                        &EstimateOptions::default(),
+                    );
+                    let mid = treelattice::estimate_interval(s, t).estimate;
+                    assert_eq!(
+                        want.to_bits(),
+                        mid.to_bits(),
+                        "seed {seed}: interval midpoint diverged\n{}",
+                        describe_case(doc, t)
+                    );
                     if t.len() > 2 {
                         let want = reference::estimate_fixed_at(s, t, 2);
                         let got = treelattice::estimate_fixed_at(s, t, 2, &capped);
